@@ -55,6 +55,8 @@ class Orbit:
             raise ValueError("orbit must be a nonempty (n, dim) array")
         if self.space not in (TORUS, CUBE):
             raise ValueError(f"unknown space {self.space!r}")
+        if not np.isfinite(pts).all():
+            raise ValueError("orbit coordinates must be finite")
         if self.space == TORUS and (pts.min() < 0.0 or pts.max() >= 1.0):
             raise ValueError("torus coordinates must lie in [0, 1)")
         pts.flags.writeable = False

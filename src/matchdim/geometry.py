@@ -4,18 +4,27 @@ The nearest-pair problem min_{i,j<n} d(a_i, b_j) has a quadratic reference
 (`shortest_distance`) and a sparse-grid fast path (`shortest_distance_fast`).
 The reference evaluates all n x n distances, a block of rows of a at a time
 (about 2^14 pair entries per block), so it runs no per-row Python loop.
-The fast path buckets one orbit's points into cells and probes the 3^N
-neighborhood of each point of the other. A probe is exact whenever the best
-distance found does not exceed the cell width, because any unprobed pair is
-separated by at least one full cell in some coordinate; the cell width is
-adapted (grown when nothing is found, shrunk when the candidate set explodes,
-set to the found distance when it fails to certify) until that exactness
-condition holds. Both routes fold the metric over coordinates in the same
-order and break ties the same way: the witness is the first (i, j) in
-row-major order among the minima. They therefore return bitwise-identical
-distances and witnesses.
 
-Correlation sums count pairs closer than r with the same grid, and the
+The fast path and the correlation sums share one neighbour engine,
+`_Grid.pairs`. One point set is bucketed into cells at least as wide as the search radius; for
+a query set, the engine yields every (query, bucketed) index pair whose cells
+differ by at most one in each axis, cyclically on the torus, in chunks of
+about 2^14 pairs. Any pair closer than the cell width is among them. On the
+torus each axis lists its shifts once modulo its cell count ({0} for one
+cell, {0, 1} for two, {-1, 0, 1} otherwise), so no pair is yielded twice.
+
+The fast path takes its candidates from the engine and adapts the cell width
+(grown when nothing is found, set to the found distance when that exceeds
+the width) until the best candidate is no farther than the cell width, which
+certifies it: any pair outside the candidates is at least one full cell apart
+in some coordinate. Both routes fold the metric over coordinates in the same
+order and break ties the same way: the witness is the first (i, j) in
+row-major order among the minima, i.e. the least (distance, i, j) over all
+candidates, whatever their chunk or cell shift. They therefore return
+bitwise-identical distances and witnesses.
+
+Correlation sums (Grassberger-Procaccia) count the pairs i < j closer than r
+among the engine's pairs on one grid at the largest radius, and the
 correlation dimension is the least-squares slope of log-sum versus log-radius
 over a geometric radius window.
 """
@@ -31,8 +40,8 @@ import numpy as np
 
 from .dynamics import TORUS, Orbit
 
-_PAIR_CAP = 40_000_000
 _BLOCK_ENTRIES = 1 << 14
+_CHUNK_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -62,13 +71,12 @@ class DimensionFit:
     n_excluded: int
 
 
-def _as_points(obj) -> np.ndarray:
-    pts = obj.points if isinstance(obj, Orbit) else np.asarray(obj, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must form a nonempty (m, dim) array")
-    return pts
+def _as_points(obj, space: str) -> np.ndarray:
+    """Validated (m, dim) points; raw arrays are checked as an Orbit in `space`."""
+    if isinstance(obj, Orbit):
+        return obj.points
+    # an Orbit freezes its array; a view leaves the caller's array writeable
+    return Orbit(np.asarray(obj, dtype=float).view(), space).points
 
 
 def _fold_metric(deltas, space: str) -> np.ndarray:
@@ -137,18 +145,20 @@ def shortest_distance(orbit_a: Orbit, orbit_b: Orbit, n: int) -> NearestPair:
 class _Grid:
     """Points bucketed into an axis-aligned cell grid (sorted flat index)."""
 
-    def __init__(self, pts: np.ndarray, w: float, wrap: bool,
+    def __init__(self, pts: np.ndarray, w: float, space: str,
                  mins: np.ndarray, spans: np.ndarray):
-        self.wrap = wrap
+        self.torus = space == TORUS
         self.k_axes = np.maximum((spans / w).astype(np.int64), 1)
         self.widths = spans / self.k_axes
         self.mins = mins
-        cells = ((pts - mins) / self.widths).astype(np.int64)
+        flat = self._flatten(self._cells(pts))
+        self.order = np.argsort(flat, kind="stable")
+        self.sorted_flat = flat[self.order]
+
+    def _cells(self, pts: np.ndarray) -> np.ndarray:
+        cells = ((pts - self.mins) / self.widths).astype(np.int64)
         np.clip(cells, 0, self.k_axes - 1, out=cells)
-        self.cells = cells
-        self.flat = self._flatten(cells)
-        self.order = np.argsort(self.flat, kind="stable")
-        self.sorted_flat = self.flat[self.order]
+        return cells
 
     def _flatten(self, cells: np.ndarray) -> np.ndarray:
         flat = cells[:, 0].copy()
@@ -165,43 +175,49 @@ class _Grid:
     def exhaustive(self) -> bool:
         return bool((self.k_axes <= 3).all())
 
-    def neighbor_ranges(self, query_cells: np.ndarray, offset) -> tuple[np.ndarray, np.ndarray]:
-        """searchsorted [lo, hi) ranges of bucketed points for shifted cells."""
-        nc = query_cells + np.asarray(offset, dtype=np.int64)
-        if self.wrap:
-            nc = nc % self.k_axes
-            valid = np.ones(nc.shape[0], dtype=bool)
+    def pairs(self, query: np.ndarray):
+        """Chunks (i, j) of query and bucketed indices in neighbouring cells.
+
+        Yields every pair whose cells differ by at most one in each axis,
+        cyclically on the torus, exactly once. A chunk holds the candidates
+        of whole queries, about _CHUNK_PAIRS pairs, plus at most one query's.
+        """
+        # visiting queries in cell order keeps the searchsorted keys nearly
+        # sorted, which makes their lookups cache-local
+        qcells = self._cells(query)
+        qorder = np.argsort(self._flatten(qcells), kind="stable")
+        qcells = qcells[qorder]
+        if self.torus:
+            shifts = [sorted({s % k for s in (-1, 0, 1)}) for k in self.k_axes.tolist()]
         else:
-            valid = ((nc >= 0) & (nc < self.k_axes)).all(axis=1)
-            nc = np.clip(nc, 0, self.k_axes - 1)
-        flat = self._flatten(nc)
-        lo = np.searchsorted(self.sorted_flat, flat, side="left")
-        hi = np.searchsorted(self.sorted_flat, flat, side="right")
-        lo[~valid] = 0
-        hi[~valid] = 0
-        return lo, hi
+            shifts = [(-1, 0, 1)] * qcells.shape[1]
+        for off in itertools.product(*shifts):
+            nc = qcells + np.asarray(off, dtype=np.int64)
+            if self.torus:
+                nc %= self.k_axes
+            flat = self._flatten(nc)
+            lo = np.searchsorted(self.sorted_flat, flat, side="left")
+            counts = np.searchsorted(self.sorted_flat, flat, side="right") - lo
+            counts[((nc < 0) | (nc >= self.k_axes)).any(axis=1)] = 0
+            ends = np.cumsum(counts)
+            base = lo - (ends - counts)  # pair number t of query i is at t + base[i]
+            cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK_PAIRS),
+                                   side="right").tolist()
+            for q0, q1 in zip(cuts, cuts[1:] + [ends.size]):
+                if q1 > q0:
+                    i = np.repeat(np.arange(q0, q1), counts[q0:q1])
+                    t = np.arange(ends[q0] - counts[q0], ends[q1 - 1])
+                    yield qorder[i], self.order[t + base[i]]
 
 
-def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(query index, bucket position) pairs for variable [lo, hi) ranges."""
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return (np.empty(0, dtype=np.int64),) * 2
-    q = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
-    cum = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(cum, counts) + np.repeat(lo, counts)
-    return q, pos
-
-
-def _space_frame(space: str, *pointsets) -> tuple[np.ndarray, np.ndarray, bool]:
+def _space_frame(space: str, *pointsets) -> tuple[np.ndarray, np.ndarray]:
     dim = pointsets[0].shape[1]
     if space == TORUS:
-        return np.zeros(dim), np.ones(dim), True
+        return np.zeros(dim), np.ones(dim)
     allpts = np.vstack(pointsets)
     mins = allpts.min(axis=0)
     spans = np.maximum(allpts.max(axis=0) - mins, 1e-300)
-    return mins, spans, False
+    return mins, spans
 
 
 def _common_point(pa: np.ndarray, pb: np.ndarray) -> tuple[int, int] | None:
@@ -229,39 +245,23 @@ def shortest_distance_fast(orbit_a: Orbit, orbit_b: Orbit, n: int,
     hit = _common_point(pa, pb)
     if hit is not None:
         return NearestPair(0.0, hit)
-    mins, spans, wrap = _space_frame(space, pa, pb)
+    mins, spans = _space_frame(space, pa, pb)
     w = w_init if w_init and w_init > 0 else 4.0 * float(spans.max()) * n ** (-2.0 / dim)
-    offsets = list(itertools.product((-1, 0, 1), repeat=dim))
     for _ in range(256):
         w = min(w, float(spans.max()))
-        grid = _Grid(pb, w, wrap, mins, spans)
+        grid = _Grid(pb, w, space, mins, spans)
         if grid.exhaustive:
             return shortest_distance(orbit_a, orbit_b, n)
-        qcells = ((pa - mins) / grid.widths).astype(np.int64)
-        np.clip(qcells, 0, grid.k_axes - 1, out=qcells)
-        lo_all, hi_all = [], []
-        for off in offsets:
-            lo, hi = grid.neighbor_ranges(qcells, off)
-            lo_all.append(lo)
-            hi_all.append(hi)
-        total = int(sum((hi - lo).sum() for lo, hi in zip(lo_all, hi_all)))
-        if total > _PAIR_CAP:
-            w *= 0.5
-            continue
-        if total == 0:
-            w *= 4.0
-            continue
         best = math.inf
         bi = bj = -1
-        for lo, hi in zip(lo_all, hi_all):
-            qi, pos = _expand_ranges(lo, hi)
-            if qi.size == 0:
-                continue
-            jb = grid.order[pos]
-            d = _rows_dist(pa[qi], pb[jb], space)
-            k = np.lexsort((jb, qi, d))[0]
-            if (d[k], qi[k], jb[k]) < (best, bi, bj):
-                best, bi, bj = float(d[k]), int(qi[k]), int(jb[k])
+        for i, j in grid.pairs(pa):
+            d = _rows_dist(pa[i], pb[j], space)
+            k = np.lexsort((j, i, d))[0]
+            if (d[k], i[k], j[k]) < (best, bi, bj):
+                best, bi, bj = float(d[k]), int(i[k]), int(j[k])
+        if best == math.inf:
+            w *= 4.0
+            continue
         if best <= grid.min_width:
             return NearestPair(best, (bi, bj))
         w = best  # next round certifies: cell width >= found distance >= true min
@@ -295,60 +295,18 @@ def distance_profile(orbit_a: Orbit, orbit_b: Orbit, schedule) -> DistanceProfil
 
 def _pair_counts_below(pts: np.ndarray, radii: np.ndarray, space: str) -> np.ndarray:
     """#{i<j : d(p_i, p_j) < r} for each r, via one grid at max(radii)."""
-    m = pts.shape[0]
-    dim = pts.shape[1]
-    r_max = float(radii.max())
-    mins, spans, wrap = _space_frame(space, pts)
+    grid = _Grid(pts, float(radii.max()), space, *_space_frame(space, pts))
     counts = np.zeros(radii.size, dtype=np.int64)
-
-    def tally(d: np.ndarray) -> None:
-        for t, r in enumerate(radii):
-            counts[t] += int((d < r).sum())
-
-    k_probe = np.maximum((spans / r_max).astype(np.int64), 1)
-    if (k_probe <= 3).any() or m <= 512:
-        # grid would double-count wrapped neighbors; count directly in blocks
-        block = 2048
-        for i0 in range(0, m, block):
-            a = pts[i0:i0 + block]
-            for j0 in range(i0, m, block):
-                d = _block_dist(a, pts[j0:j0 + block], space)
-                if i0 == j0:
-                    d = d[np.triu_indices(d.shape[0], k=1)]
-                tally(np.ravel(d))
-        return counts
-
-    grid = _Grid(pts, r_max, wrap, mins, spans)
-    order = grid.order
-    sorted_cells = grid.cells[order]
-    sorted_pts = pts[order]
-    boundaries = np.flatnonzero(np.diff(grid.sorted_flat)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [order.size]])
-    # canonical half of the neighbor offsets so each unordered cell pair
-    # appears once; K > 3 in every axis keeps wrapped offsets distinct
-    half = [off for off in itertools.product((-1, 0, 1), repeat=dim)
-            if off > tuple([0] * dim)]
-    for s, e in zip(starts, ends):
-        group = sorted_pts[s:e]
-        if e - s > 1:
-            iu, ju = np.triu_indices(e - s, k=1)
-            tally(_rows_dist(group[iu], group[ju], space))
-        cell = sorted_cells[s][None, :]
-        for off in half:
-            lo, hi = grid.neighbor_ranges(cell, off)
-            lo_i, hi_i = int(lo[0]), int(hi[0])
-            if hi_i > lo_i:
-                other = sorted_pts[lo_i:hi_i]
-                ia = np.repeat(np.arange(e - s), hi_i - lo_i)
-                jb = np.tile(np.arange(hi_i - lo_i), e - s)
-                tally(_rows_dist(group[ia], other[jb], space))
+    for i, j in grid.pairs(pts):
+        keep = i < j
+        d = _rows_dist(pts[i[keep]], pts[j[keep]], space)
+        counts += np.searchsorted(np.sort(d), radii)  # left side: #{d < r}
     return counts
 
 
 def correlation_sum(points, r: float, space: str = TORUS) -> float:
     """Pair-proximity U-statistic: 2 #{i<j : d < r} / (M (M-1))."""
-    pts = _as_points(points)
+    pts = _as_points(points, space)
     m = pts.shape[0]
     if m < 2:
         raise ValueError("need at least two points")
@@ -378,7 +336,7 @@ def default_radius_window(n_points: int, dim: int) -> tuple[float, float]:
 def correlation_dimension(points, r_lo: float, r_hi: float, n_radii: int = 8,
                           space: str = TORUS) -> DimensionFit:
     """Least-squares slope of log correlation sum against log radius."""
-    pts = _as_points(points)
+    pts = _as_points(points, space)
     m = pts.shape[0]
     if m < 2:
         raise ValueError("need at least two points")

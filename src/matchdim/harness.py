@@ -507,7 +507,7 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
     checks.append(("lcs fast/reference equivalence (300 pairs)",
                    mismatches == 0, f"{mismatches} mismatches"))
 
-    bad = 0
+    bad_distance = bad_witness = 0
     for _ in range(150):
         n = int(rng.integers(2, 513))
         dim = int(rng.integers(1, 3))
@@ -515,10 +515,11 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
         b = dynamics.Orbit(rng.random((n, dim)))
         ref = geometry.shortest_distance(a, b, n)
         fast = geometry.shortest_distance_fast(a, b, n)
-        if ref.distance != fast.distance:
-            bad += 1
+        bad_distance += ref.distance != fast.distance
+        bad_witness += ref.witness != fast.witness
     checks.append(("nearest-pair fast/reference equivalence (150 instances)",
-                   bad == 0, f"{bad} mismatches"))
+                   bad_distance == 0 and bad_witness == 0,
+                   f"{bad_distance} distance and {bad_witness} witness mismatches"))
 
     worst = 0.0
     for _ in range(20):

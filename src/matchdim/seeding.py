@@ -19,7 +19,3 @@ def spawn_seed(master: int, *key: int) -> int:
                                 spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
-
-def spawn_rng(master: int, *key: int) -> np.random.Generator:
-    """Generator seeded by spawn_seed(master, *key)."""
-    return np.random.default_rng(spawn_seed(master, *key))

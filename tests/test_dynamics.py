@@ -9,6 +9,14 @@ from matchdim import (BernoulliDriver, Collapse, CoordinateProjection,
                       torus_distance)
 
 
+class TestOrbit:
+    @pytest.mark.parametrize("space", ["torus", "cube"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, space, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Orbit(np.array([[bad], [0.5]]), space=space)
+
+
 class TestMaps:
     def test_times_fixed_point(self):
         orb = iterate(TimesMap(2), 0.0, 5)

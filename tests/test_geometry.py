@@ -65,9 +65,11 @@ class TestShortestDistance:
             full = np.sqrt((delta ** 2).sum(axis=2))
         rows = np.nonzero(full == full.min())[0]
         assert rows[-1] - rows[0] > n // 2
-        r = shortest_distance(Orbit(a, space=space), Orbit(b, space=space), n)
-        assert r.distance == full.min()
-        assert r.witness == np.unravel_index(np.argmin(full), full.shape)
+        oa, ob = Orbit(a, space=space), Orbit(b, space=space)
+        witness = np.unravel_index(np.argmin(full), full.shape)
+        for r in (shortest_distance(oa, ob, n), shortest_distance_fast(oa, ob, n)):
+            assert r.distance == full.min()
+            assert r.witness == witness
 
 
 class TestFastPath:
@@ -160,16 +162,43 @@ class TestCorrelationSum:
         pts = np.random.default_rng(3).random((500, 2))
         sums = [correlation_sum(pts, r) for r in (0.01, 0.03, 0.1, 0.3)]
         assert sums == sorted(sums)
+        assert pts.flags.writeable  # validation must not freeze the input
 
-    def test_grid_matches_direct_counting(self):
-        rng = np.random.default_rng(4)
-        pts = rng.random((1500, 2))
-        r = 0.04
+    @pytest.mark.parametrize("space", ["torus", "cube"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("lattice", [True, False])
+    def test_grid_matches_direct_counting(self, space, dim, lattice):
+        # radii of 1..7 lattice spacings put 1, 2, 3 and more cells on each
+        # axis; on the lattice, pairs exactly one radius apart test the strict
+        # `<`, and at the widest radius one cell holds all m^2 ordered pairs,
+        # more than one chunk
+        rng = np.random.default_rng(dim)
+        m, levels = 400, 12
+        if lattice:
+            pts = rng.integers(0, levels, (m, dim)) / levels
+        else:
+            pts = rng.random((m, dim))
+        radii = np.arange(1, 8) / levels
+        if space == "cube":
+            pts, radii = 3.0 * pts - 1.0, 3.0 * radii
+        spans = np.ones(dim) if space == "torus" else np.ptp(pts, axis=0)
+        cells = {max(int(s / r), 1) for s in spans for r in radii}
+        assert {1, 2, 3} <= cells and max(cells) > 3
         delta = np.abs(pts[:, None, :] - pts[None, :, :])
-        d = np.minimum(delta, 1 - delta).max(axis=2)
-        iu = np.triu_indices(1500, k=1)
-        expected = 2.0 * (d[iu] < r).sum() / (1500 * 1499)
-        assert correlation_sum(pts, r) == pytest.approx(expected, abs=0)
+        if space == "torus":
+            full = np.minimum(delta, 1.0 - delta).max(axis=2)
+        else:
+            full = np.sqrt((delta ** 2).sum(axis=2))
+        upper = full[np.triu_indices(m, k=1)]
+        for r in radii:
+            expected = 2.0 * (upper < r).sum() / (m * (m - 1))
+            assert correlation_sum(pts, r, space=space) == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, -0.25])
+    def test_rejects_invalid_points(self, bad):
+        pts = np.array([[0.1], [bad], [0.5]])
+        with pytest.raises(ValueError):
+            correlation_sum(pts, 0.1)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -207,6 +236,13 @@ class TestCorrelationDimension:
         pts = np.array([[0.0], [0.5]])
         with pytest.raises(ArithmeticError):
             correlation_dimension(pts, 1e-6, 1e-4, n_radii=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, -0.25])
+    def test_rejects_invalid_points(self, bad):
+        pts = np.random.default_rng(9).random((50, 1))
+        pts[7, 0] = bad
+        with pytest.raises(ValueError):
+            correlation_dimension(pts, 0.01, 0.1)
 
     def test_window_validation(self):
         pts = np.random.default_rng(7).random((50, 1))
