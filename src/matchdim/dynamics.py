@@ -49,8 +49,8 @@ class Orbit:
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        # freeze a view, so the caller's array stays writeable
+        pts = (pts[:, None] if pts.ndim == 1 else pts).view()
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("orbit must be a nonempty (n, dim) array")
         if self.space not in (TORUS, CUBE):

@@ -17,13 +17,12 @@ input (`required_input_length`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .sources import Alphabet, SymbolSeq
+from .sources import SymbolSeq
 
 
 class InputExhausted(ValueError):
@@ -33,9 +32,6 @@ class InputExhausted(ValueError):
 @dataclass(frozen=True)
 class IdentityEncoder:
     kind = "identity"
-
-    def output_alphabet(self, input_alphabet: Alphabet) -> Alphabet:
-        return input_alphabet
 
     def encode(self, seq: SymbolSeq, n_out: int) -> SymbolSeq:
         if seq.length < n_out:
@@ -65,9 +61,6 @@ class ZeroInflation:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
 
     kind = "zero_inflation"
-
-    def output_alphabet(self, input_alphabet: Alphabet) -> Alphabet:
-        return input_alphabet
 
     def mask(self, n: int) -> np.ndarray:
         """First n mask bits (0/1), deterministic in mask_seed."""
@@ -107,19 +100,6 @@ class StretchEncoder:
     @property
     def v_min(self) -> int:
         return min(self.weights)
-
-    @property
-    def v_max(self) -> int:
-        return max(self.weights)
-
-    @property
-    def weights_gcd(self) -> int:
-        return math.gcd(*self.weights) if len(self.weights) > 1 else self.weights[0]
-
-    def output_alphabet(self, input_alphabet: Alphabet) -> Alphabet:
-        if input_alphabet.size > len(self.weights):
-            raise ValueError("weights do not cover the input alphabet")
-        return input_alphabet
 
     def _weight_array(self, seq: SymbolSeq) -> np.ndarray:
         if int(seq.data.max(initial=0)) >= len(self.weights):

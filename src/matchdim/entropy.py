@@ -13,7 +13,8 @@ Closed forms covered:
   to 1e-9.
 
 Empirical estimates plug observed block frequencies into
--log(collision)/k and select a plateau block length k automatically.
+-log(collision)/k and select a plateau block length k automatically; the
+plateau scan counts each k once, on codes extended by one symbol per step.
 
 All entropies are in nats.
 """
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import SymbolSeq, collision_probability, _check_probability_vector
+from .sources import (SymbolSeq, block_codes, collision_sum, window_counts,
+                      _check_probability_vector)
 
 EIGEN_ROOT_ATOL = 1e-9
 
@@ -227,6 +229,13 @@ def renyi2_scrabble(P, weights) -> ScrabbleSpectrum:
                             entropy=float(-np.log(p_eigen)))
 
 
+def _plug_in(counts: np.ndarray, k: int) -> EntropyEstimate:
+    """Estimate from the occurrence counts of the distinct length-k windows."""
+    col = collision_sum(counts)
+    return EntropyEstimate(value=float(-np.log(col) / k), method="empirical",
+                           k=k, collision=col, distinct_blocks=int(counts.size))
+
+
 def renyi2_empirical(seq: SymbolSeq, k: int) -> EntropyEstimate:
     """Plug-in estimate -log(collision probability at block length k)/k."""
     guideline = 100 * seq.alphabet.size ** k
@@ -235,22 +244,10 @@ def renyi2_empirical(seq: SymbolSeq, k: int) -> EntropyEstimate:
             f"sequence length {seq.length} below the {guideline} guideline "
             f"for k={k}; estimate may be undersampled", RuntimeWarning,
             stacklevel=2)
-    col = collision_probability(seq, k)
-    distinct = _count_distinct_blocks(seq, k)
-    return EntropyEstimate(value=float(-np.log(col) / k), method="empirical",
-                           k=k, collision=col, distinct_blocks=distinct)
+    return _plug_in(window_counts(seq, k), k)
 
 
-def _count_distinct_blocks(seq: SymbolSeq, k: int) -> int:
-    from .sources import block_codes, block_counts
-    try:
-        return int(np.unique(block_codes(seq, k)).size)
-    except ValueError:
-        return len(block_counts(seq, k))
-
-
-def empirical_plateau(seq: SymbolSeq, k_max: int | None = None,
-                      min_coincidences: float = 100.0
+def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
                       ) -> tuple[EntropyEstimate, list[EntropyEstimate]]:
     """Empirical estimate at an automatically selected block length.
 
@@ -261,18 +258,23 @@ def empirical_plateau(seq: SymbolSeq, k_max: int | None = None,
     noise take over) or the packed-code limit is hit. The reported k then
     minimizes the step |H(k+1) - H(k)| over that range: the flattest step is
     the best bias/noise tradeoff.
+
+    Each k extends the (k-1)-window Horner codes of `block_codes` by one
+    symbol and counts them once; every row equals `renyi2_empirical(seq, k)`.
     """
-    size = max(seq.alphabet.size, 2)
-    hard_cap = min(int(62 / math.log2(size)), seq.length // 4, 256)
+    size = seq.alphabet.size
+    hard_cap = min(int(62 / math.log2(max(size, 2))), seq.length // 4, 256)
     windows = seq.length  # within a factor of the window count for k << n
     table: list[EntropyEstimate] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for k in range(2, max(k_max or hard_cap, 3) + 1):
-            est = renyi2_empirical(seq, k)
-            table.append(est)
-            if k_max is None and est.collision * windows < min_coincidences:
-                break
+    codes = seq.data
+    for k in range(2, max(hard_cap, 3) + 1):
+        # past hard_cap (n < 12 or > 2^20 letters) block_codes checks k and int64
+        codes = (codes[:-1] * size + seq.data[k - 1:] if k <= hard_cap
+                 else block_codes(seq, k))
+        est = _plug_in(np.unique(codes, return_counts=True)[1], k)
+        table.append(est)
+        if est.collision * windows < min_coincidences:
+            break
     steps = [abs(table[i + 1].value - table[i].value) for i in range(len(table) - 1)]
     best = int(np.argmin(steps)) if steps else 0
     return table[best], table

@@ -73,10 +73,7 @@ class DimensionFit:
 
 def _as_points(obj, space: str) -> np.ndarray:
     """Validated (m, dim) points; raw arrays are checked as an Orbit in `space`."""
-    if isinstance(obj, Orbit):
-        return obj.points
-    # an Orbit freezes its array; a view leaves the caller's array writeable
-    return Orbit(np.asarray(obj, dtype=float).view(), space).points
+    return (obj if isinstance(obj, Orbit) else Orbit(obj, space)).points
 
 
 def _fold_metric(deltas, space: str) -> np.ndarray:
@@ -221,18 +218,29 @@ def _space_frame(space: str, *pointsets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _common_point(pa: np.ndarray, pb: np.ndarray) -> tuple[int, int] | None:
-    """Lexicographically smallest (i, j) with pa[i] == pb[j] exactly, if any."""
-    width = pa.dtype.itemsize * pa.shape[1]
-    buf_b = np.ascontiguousarray(pb).tobytes()
-    first_j: dict[bytes, int] = {}
-    for j in range(pb.shape[0] - 1, -1, -1):
-        first_j[buf_b[j * width:(j + 1) * width]] = j
-    buf_a = np.ascontiguousarray(pa).tobytes()
-    for i in range(pa.shape[0]):
-        j = first_j.get(buf_a[i * width:(i + 1) * width])
-        if j is not None:
-            return (i, j)
-    return None
+    """Lexicographically smallest (i, j) with pa[i] == pb[j] bytewise, if any.
+
+    Only rows whose first uint64 word occurs in the other set can match. They
+    are sorted together by a stable sort, so equal rows form runs led by their
+    least i, then by their least j.
+    """
+    wa, wb = pa.view(np.uint64), pb.view(np.uint64)
+    first_b = np.sort(wb[:, 0])
+    at = np.minimum(np.searchsorted(first_b, wa[:, 0]), first_b.size - 1)
+    ia = np.flatnonzero(first_b[at] == wa[:, 0])
+    if ia.size == 0:
+        return None
+    jb = np.flatnonzero(np.isin(wb[:, 0], wa[ia, 0]))
+    words = np.vstack((wa[ia], wb[jb]))
+    order = np.lexsort(words.T[::-1])  # stable: equal rows keep a, then b, by index
+    rows, index, from_b = words[order], np.concatenate((ia, jb))[order], order >= ia.size
+    starts = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+    lead_b = np.flatnonzero(from_b & ~np.r_[True, from_b[:-1]] & ~starts)
+    if lead_b.size == 0:
+        return None
+    lead_a = np.maximum.accumulate(np.where(starts, np.arange(order.size), 0))[lead_b]
+    k = int(np.argmin(index[lead_a]))
+    return int(index[lead_a[k]]), int(index[lead_b[k]])
 
 
 def shortest_distance_fast(orbit_a: Orbit, orbit_b: Orbit, n: int,

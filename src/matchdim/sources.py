@@ -48,6 +48,7 @@ class SymbolSeq:
             raise ValueError("sequence data must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet.size):
             raise ValueError("symbol out of range for alphabet")
+        arr = arr.view()  # freeze a view; the caller's array stays writeable
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -94,7 +95,7 @@ class IIDSource:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = _check_probability_vector(self.probs, "probs")
+        p = _check_probability_vector(self.probs, "probs").view()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -119,10 +120,10 @@ class MarkovSource:
         rowsums = P.sum(axis=1)
         if np.max(np.abs(rowsums - 1.0)) > PROB_ATOL:
             raise ValueError(f"transition rows must sum to 1 within {PROB_ATOL}")
-        pi = _check_probability_vector(self.initial, "initial")
+        pi = _check_probability_vector(self.initial, "initial").view()
         if pi.size != P.shape[0]:
             raise ValueError("initial distribution size does not match transition")
-        P = np.ascontiguousarray(P)
+        P = np.ascontiguousarray(P).view()
         P.flags.writeable = False
         pi.flags.writeable = False
         object.__setattr__(self, "transition", P)
@@ -166,12 +167,11 @@ def sample(source: IIDSource | MarkovSource, n: int, seed: int) -> SymbolSeq:
         rows = [tuple(np.cumsum(P[i])[:-1]) for i in range(d)]
         init_cum = np.cumsum(source.initial)
         state = int(_inverse_cdf(init_cum, u[:1])[0])
-        data = np.empty(n, dtype=np.int64)
-        data[0] = state
-        ulist = u.tolist()
-        for t in range(1, n):
-            state = bisect.bisect_right(rows[state], ulist[t])
-            data[t] = state
+        states = [state]
+        for x in u[1:].tolist():
+            state = bisect.bisect_right(rows[state], x)
+            states.append(state)
+        data = np.array(states, dtype=np.int64)
     else:
         raise ValueError(f"unsupported source type: {type(source).__name__}")
     return SymbolSeq(Alphabet(int(source.alphabet.size)), data)
@@ -218,16 +218,23 @@ def block_counts(seq: SymbolSeq, k: int) -> dict[bytes, int]:
     return counts
 
 
-def collision_probability(seq: SymbolSeq, k: int) -> float:
-    """Empirical collision probability sum over observed blocks of (N_B/M)^2."""
+def window_counts(seq: SymbolSeq, k: int) -> np.ndarray:
+    """Occurrence counts of the distinct overlapping length-k windows."""
     _check_block_len(seq, k)
     try:
-        codes = block_codes(seq, k)
-        _, counts = np.unique(codes, return_counts=True)
+        return np.unique(block_codes(seq, k), return_counts=True)[1]
     except ValueError:
-        counts = np.asarray(list(block_counts(seq, k).values()), dtype=np.int64)
-    m = float(seq.length - k + 1)
-    return float(np.sum((counts / m) ** 2))
+        return np.asarray(list(block_counts(seq, k).values()), dtype=np.int64)
+
+
+def collision_sum(counts: np.ndarray) -> float:
+    """sum_B (N_B/M)^2 over window counts N_B with total M."""
+    return float(np.sum((counts / float(counts.sum())) ** 2))
+
+
+def collision_probability(seq: SymbolSeq, k: int) -> float:
+    """Empirical collision probability sum over observed blocks of (N_B/M)^2."""
+    return collision_sum(window_counts(seq, k))
 
 
 def stationary_distribution(P, tol: float = 1e-12, max_iter: int = 10 ** 6) -> np.ndarray:

@@ -16,6 +16,14 @@ class TestOrbit:
         with pytest.raises(ValueError, match="finite"):
             Orbit(np.array([[bad], [0.5]]), space=space)
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 2)])
+    def test_caller_array_stays_writeable(self, shape):
+        pts = np.random.default_rng(0).random(shape)
+        orb = Orbit(pts)
+        assert not orb.points.flags.writeable
+        pts[0] = 0.25
+        assert orb.points[0, 0] == 0.25  # a view, not a copy
+
 
 class TestMaps:
     def test_times_fixed_point(self):

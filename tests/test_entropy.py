@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from matchdim import (IIDSource, MarkovSource, SymbolSeq, build_qstar,
+from matchdim import (IIDSource, MarkovSource, SymbolSeq, block_counts, build_qstar,
                       dominant_eigenvalue, empirical_plateau, renyi2_empirical,
                       renyi2_iid, renyi2_markov, renyi2_scrabble,
                       renyi2_zero_inflated, sample)
@@ -202,6 +202,32 @@ class TestEmpirical:
         s = sample(IIDSource(np.array([0.5, 0.5])), 300, 3)
         with pytest.warns(RuntimeWarning, match="guideline"):
             renyi2_empirical(s, 8)
+
+    @pytest.mark.filterwarnings("ignore:sequence length:RuntimeWarning")
+    @pytest.mark.parametrize("case", ["iid2", "markov2", "markov3", "iid10",
+                                      "dirac", "const1", "const2"])
+    @pytest.mark.parametrize("n", [5, 12, 40, 1000, 20_000])
+    def test_plateau_rows_equal_the_from_scratch_oracle(self, case, n):
+        P = np.array([[0.9, 0.1], [0.3, 0.7]])
+        P3 = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])
+        seq = {"iid2": lambda: sample(IIDSource(np.array([0.5, 0.5])), n, 3),
+               "markov2": lambda: sample(MarkovSource.stationary(P), n, 4),
+               "markov3": lambda: sample(MarkovSource.stationary(P3), n, 5),
+               "iid10": lambda: sample(IIDSource(np.full(10, 0.1)), n, 6),
+               "dirac": lambda: sample(MarkovSource(P, np.array([0.0, 1.0])), n, 7),
+               "const1": lambda: SymbolSeq.from_symbols([0] * n, 1),
+               "const2": lambda: SymbolSeq.from_symbols([1] * n, 2)}[case]()
+        plateau, table = empirical_plateau(seq)
+        assert [est.k for est in table] == list(range(2, len(table) + 2))
+        assert plateau in table
+        for est in table:
+            assert est == renyi2_empirical(seq, est.k)
+            assert est.distinct_blocks == len(block_counts(seq, est.k))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_plateau_rejects_sequences_shorter_than_two(self, n):
+        with pytest.raises(ValueError, match="block length k=2"):
+            empirical_plateau(SymbolSeq.from_symbols([0] * n, 2))
 
     def test_plateau_tracks_markov_closed_form(self):
         P = np.array([[0.9, 0.1], [0.3, 0.7]])

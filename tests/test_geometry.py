@@ -7,6 +7,7 @@ from matchdim import (Collapse, Orbit, correlation_dimension, correlation_sum,
                       default_radius_window, distance_profile, iterate,
                       observe, shortest_distance, shortest_distance_fast,
                       TimesMap)
+from matchdim.geometry import _common_point
 
 
 def uniform_orbit(seed, n, dim=1):
@@ -102,6 +103,28 @@ class TestFastPath:
         r = shortest_distance_fast(a, b, 5000)
         assert r.distance == 0.0
         assert r.witness == (0, 0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_common_point_matches_brute_force(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        pa, pb = rng.random((300, dim)), rng.random((400, dim))
+        assert _common_point(pa, pb) is None
+        if dim > 1:  # equal first coordinates only: no coincidence
+            pb[rng.choice(400, 40, replace=False), 0] = pa[rng.choice(300, 40), 0]
+            assert _common_point(pa, pb) is None
+        for i in rng.choice(300, 5, replace=False):  # several j per i
+            pb[rng.choice(400, 3, replace=False)] = pa[i]
+        lattice = rng.integers(0, 3, (300, dim)) / 4.0  # many equal rows
+        for a, b in ((pa, pb), (lattice, lattice[::-1].copy()), (lattice[:50], pb)):
+            equal = (a.view(np.uint64)[:, None] == b.view(np.uint64)[None]).all(axis=2)
+            hits = np.argwhere(equal)
+            expected = tuple(int(v) for v in hits[0]) if hits.size else None
+            assert _common_point(a, b) == expected
+            if expected is not None:
+                n = min(len(a), len(b))
+                fast = shortest_distance_fast(Orbit(a[:n]), Orbit(b[:n]), n)
+                assert fast == shortest_distance(Orbit(a[:n]), Orbit(b[:n]), n)
 
     def test_cube_space(self):
         rng = np.random.default_rng(11)

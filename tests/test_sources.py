@@ -37,6 +37,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             sample(IIDSource(np.array([1.0])), 0, 1)
 
+    def test_caller_arrays_stay_writeable(self):
+        data, probs = np.array([0, 1, 1]), np.array([0.5, 0.5])
+        P, init = np.array([[0.9, 0.1], [0.3, 0.7]]), np.array([1.0, 0.0])
+        s = SymbolSeq(Alphabet(2), data)
+        src = IIDSource(probs)
+        chain = MarkovSource(P, init)
+        for frozen, caller in ((s.data, data), (src.probs, probs),
+                               (chain.transition, P), (chain.initial, init)):
+            assert not frozen.flags.writeable
+            assert caller.flags.writeable
+            assert np.shares_memory(frozen, caller)
+
 
 class TestSample:
     def test_single_symbol_alphabet(self):
@@ -83,6 +95,22 @@ class TestSample:
         chi2 = sum((ca.get(k, 0) - cb.get(k, 0)) ** 2 /
                    max(ca.get(k, 0) + cb.get(k, 0), 1) for k in keys)
         assert chi2 < 30.0  # df=3, far beyond any sane quantile
+
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_markov_matches_inverse_cdf_loop(self, seed):
+        P = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
+        init = np.array([0.1, 0.3, 0.6])
+        n = 3000
+        u = np.random.default_rng(seed).random(n)
+        state = int(np.searchsorted(np.cumsum(init), u[0], "right"))
+        expected = [state]
+        for t in range(1, n):
+            state = int(np.searchsorted(np.cumsum(P[state])[:-1], u[t], "right"))
+            expected.append(state)
+        got = sample(MarkovSource(P, init), n, seed)
+        assert got.data.dtype == np.int64
+        assert got.data.tolist() == expected
 
 
 class TestBlockCounts:
