@@ -52,6 +52,10 @@ def main(argv=None) -> int:
 
     with open(args.config) as fh:
         cfg = yaml.safe_load(fh)
+    if not isinstance(cfg, dict):
+        print(f"config {args.config!r} must be a YAML mapping, got "
+              f"{type(cfg).__name__}", file=sys.stderr)
+        return 2
     expected = _KIND_BY_COMMAND[args.command]
     cfg.setdefault("experiment", expected)
     if cfg["experiment"] != expected:

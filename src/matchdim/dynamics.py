@@ -51,7 +51,7 @@ class Orbit:
         pts = np.ascontiguousarray(self.points, dtype=float)
         # freeze a view, so the caller's array stays writeable
         pts = (pts[:, None] if pts.ndim == 1 else pts).view()
-        if pts.ndim != 2 or pts.shape[0] == 0:
+        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
             raise ValueError("orbit must be a nonempty (n, dim) array")
         if self.space not in (TORUS, CUBE):
             raise ValueError(f"unknown space {self.space!r}")

@@ -2,9 +2,12 @@
 
 Two routes are provided for the longest common substring of two symbol
 sequences: a quadratic dynamic-programming oracle (`lcs_oracle`) and a fast
-path (`lcs_fast`) built on a suffix automaton of the first sequence streamed
-against the second. The fast path is the production route; the oracle exists
-to cross-check it and is kept independent of it.
+path (`lcs_fast`) built on exact window classes of the concatenated pair
+(`sources.WindowClasses`). A k-window match exists when the sorted,
+side-tagged class keys of the two sequences meet; the longest k is found by
+an exponential probe then a bisection, a search that masked window matching
+shares with its own mask-anchored predicate. The fast path is the production
+route; the oracle exists to cross-check it and is kept independent of it.
 
 `highest_score` generalizes match length to weighted match score: every
 symbol carries a positive integer weight and a common substring scores the
@@ -24,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoders import Encoder, encode
-from .sources import SymbolSeq
+from .sources import SymbolSeq, WindowClasses
 
 
 @dataclass(frozen=True)
@@ -70,163 +73,86 @@ def lcs_oracle(x: SymbolSeq, y: SymbolSeq) -> MatchResult:
     return MatchResult(best, (bi, bj, best) if best else (0, 0, 0))
 
 
-class SuffixAutomaton:
-    """Suffix automaton with online extension and first-occurrence tracking."""
+def _check_schedule(schedule, limit: int) -> list[int]:
+    ns = [int(n) for n in schedule]
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    if ns[0] < 1 or ns[-1] > limit:
+        raise ValueError("schedule out of range for the given sequences")
+    return ns
 
-    def __init__(self):
-        self._len = [0]
-        self._link = [-1]
-        self._trans: list[dict[int, int]] = [{}]
-        self._first_end = [-1]
-        self._clone = [False]
-        self._last = 0
-        self.size = 0
 
-    def extend(self, c: int) -> None:
-        pos = self.size
-        self.size += 1
-        cur = len(self._len)
-        self._len.append(self._len[self._last] + 1)
-        self._link.append(-1)
-        self._trans.append({})
-        self._first_end.append(pos)
-        self._clone.append(False)
-        p = self._last
-        while p != -1 and c not in self._trans[p]:
-            self._trans[p][c] = cur
-            p = self._link[p]
-        if p == -1:
-            self._link[cur] = 0
-        else:
-            q = self._trans[p][c]
-            if self._len[p] + 1 == self._len[q]:
-                self._link[cur] = q
+def _longest_over_schedule(exists, ns: list[int]) -> list[int]:
+    """Largest k with exists(n, k), for each n of a strictly increasing schedule.
+
+    exists(n, k) must be monotone: true for k implies true for k - 1. The
+    optimum is nondecreasing in n, so each n starts from the previous answer,
+    probes best + 1, best + 2, best + 4, ... and bisects the last gap.
+    """
+    out = []
+    best = 0
+    for n in ns:
+        step = 1
+        while best + step <= n and exists(n, best + step):
+            best += step
+            step *= 2
+        lo, hi = best, min(best + step, n + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if exists(n, mid):
+                lo = mid
             else:
-                clone = len(self._len)
-                self._len.append(self._len[p] + 1)
-                self._link.append(self._link[q])
-                self._trans.append(dict(self._trans[q]))
-                self._first_end.append(self._first_end[q])
-                self._clone.append(True)
-                while p != -1 and self._trans[p].get(c) == q:
-                    self._trans[p][c] = clone
-                    p = self._link[p]
-                self._link[q] = clone
-                self._link[cur] = clone
-        self._last = cur
+                hi = mid
+        best = lo
+        out.append(best)
+    return out
 
-    def extend_all(self, symbols) -> None:
-        for c in symbols:
-            self.extend(c)
 
-    def longest_match_length(self, ys) -> int:
-        """Length of the longest substring of `ys` occurring in the automaton."""
-        trans, link, lens = self._trans, self._link, self._len
-        v, l, best = 0, 0, 0
-        for c in ys:
-            t = trans[v].get(c)
-            if t is not None:
-                v = t
-                l += 1
-            else:
-                while v != -1 and c not in trans[v]:
-                    v = link[v]
-                if v == -1:
-                    v, l = 0, 0
-                else:
-                    l = lens[v] + 1
-                    v = trans[v][c]
-            if l > best:
-                best = l
-        return best
-
-    def _min_end_positions(self) -> list[int]:
-        # exact min of each state's end-position set, by propagating up the
-        # suffix-link tree in decreasing-length order (counting sort)
-        n = len(self._len)
-        order = sorted(range(1, n), key=self._len.__getitem__, reverse=True)
-        min_end = list(self._first_end)
-        for v in order:
-            p = self._link[v]
-            if min_end[v] < min_end[p]:
-                min_end[p] = min_end[v]
-        return min_end
-
-    def match_witness(self, ys, length: int) -> tuple[int, int]:
-        """Smallest (i, j) with automaton-text[i:i+length] == ys[j:j+length]."""
-        if length <= 0:
-            return (0, 0)
-        trans, link, lens = self._trans, self._link, self._len
-        min_end = self._min_end_positions()
-        first_j: dict[int, int] = {}
-        v, l = 0, 0
-        for jj, c in enumerate(ys):
-            t = trans[v].get(c)
-            if t is not None:
-                v = t
-                l += 1
-            else:
-                while v != -1 and c not in trans[v]:
-                    v = link[v]
-                if v == -1:
-                    v, l = 0, 0
-                    continue
-                l = lens[v] + 1
-                v = trans[v][c]
-            if l >= length:
-                # state of the length-`length` suffix ending here
-                t = v
-                while lens[link[t]] >= length:
-                    t = link[t]
-                if t not in first_j:
-                    first_j[t] = jj - length + 1
-        if not first_j:
-            raise ValueError("no match of the requested length exists")
-        best_i = min(min_end[t] - length + 1 for t in first_j)
-        best_j = min(j for t, j in first_j.items()
-                     if min_end[t] - length + 1 == best_i)
-        return (best_i, best_j)
+def _classes_meet(classes: WindowClasses, k: int, nx: int, mx: int, my: int) -> bool:
+    """Whether a k-window of x[:mx] equals one of y[:my], classes being of x[:nx] ++ y."""
+    kx = classes.keys(k, 0, mx - k + 1)
+    ky = classes.keys(k, nx, nx + my - k + 1)
+    # sorted side-tagged keys: a class on both sides puts 2c (x) next to
+    # 2c+1 (y), the only neighbours that differ in the tag bit alone
+    tagged = np.concatenate((kx * 2, ky * 2 + 1))
+    tagged.sort()
+    return bool(np.any((tagged[1:] ^ tagged[:-1]) == 1))
 
 
 def lcs_fast(x: SymbolSeq, y: SymbolSeq, want_witness: bool = True) -> MatchResult:
-    """Longest common substring via a suffix automaton of x streamed by y.
+    """Longest common substring by exact window classes of x ++ y.
 
-    Matches lcs_oracle in length on every input; the witness pass is skipped
+    Matches lcs_oracle in length and witness on every input: the witness is
+    the least i among the x-windows of a class that y also holds, then the
+    least j among the y-windows of that class. The witness pass is skipped
     when want_witness is False (bulk statistics only need the length).
     """
     _check_pair(x, y)
-    sa = SuffixAutomaton()
-    sa.extend_all(x.data.tolist())
-    ys = y.data.tolist()
-    best = sa.longest_match_length(ys)
+    nx, ny = x.length, y.length
+    classes = WindowClasses(np.concatenate((x.data, y.data)))
+    best = _longest_over_schedule(
+        lambda n, k: _classes_meet(classes, k, nx, nx, ny), [min(nx, ny)])[0]
     if best == 0 or not want_witness:
         return MatchResult(best, (0, 0, 0))
-    i, j = sa.match_witness(ys, best)
+    kx = classes.keys(best, 0, nx - best + 1)
+    ky = classes.keys(best, nx, nx + ny - best + 1)
+    i = int(np.argmax(np.isin(kx, ky)))
+    j = int(np.argmax(ky == kx[i]))
     return MatchResult(best, (i, j, best))
 
 
 def lcs_lengths_over_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]:
     """Longest-common-substring lengths of matched prefixes for each n in schedule.
 
-    The automaton is grown incrementally over x, so the total cost is about
-    one build at max(schedule) plus one scan of y per scheduled n.
+    One set of window classes over x[:top] ++ y[:top], top = max(schedule),
+    serves every n; its doubling levels are built only as deep as the longest
+    match.
     """
     _check_pair(x, y)
-    ns = [int(n) for n in schedule]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    if ns[0] < 1 or ns[-1] > min(x.length, y.length):
-        raise ValueError("schedule out of range for the given sequences")
-    sa = SuffixAutomaton()
-    xl = x.data.tolist()
-    yl = y.data.tolist()
-    out = []
-    done = 0
-    for n in ns:
-        sa.extend_all(xl[done:n])
-        done = n
-        out.append(sa.longest_match_length(yl[:n]))
-    return out
+    ns = _check_schedule(schedule, min(x.length, y.length))
+    top = ns[-1]
+    classes = WindowClasses(np.concatenate((x.data[:top], y.data[:top])))
+    return _longest_over_schedule(lambda n, k: _classes_meet(classes, k, top, n, n), ns)
 
 
 def encoded_lcs(x: SymbolSeq, y: SymbolSeq, encoder: Encoder, n: int) -> MatchResult:
@@ -266,33 +192,13 @@ def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask_x, mask_y=None,
         raise ValueError("masked matching supports alphabets up to 256 symbols")
     mask_x = np.asarray(mask_x, dtype=np.int64)
     mask_y = mask_x if mask_y is None else np.asarray(mask_y, dtype=np.int64)
-    ns = [min(x.length, y.length)] if schedule is None else [int(v) for v in schedule]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    if ns[-1] > min(x.length, y.length) or ns[0] < 1:
-        raise ValueError("schedule out of range for the given sequences")
+    limit = min(x.length, y.length)
+    ns = _check_schedule([limit] if schedule is None else schedule, limit)
     if mask_x.size < ns[-1] or mask_y.size < ns[-1]:
         raise ValueError("masks must cover the largest scheduled n")
     xd, yd = x.data, y.data
-    out = []
-    best = 0
-    for n in ns:
-        # exponential probe then bisect; optimum is nondecreasing in n
-        step = 1
-        while best + step <= n and _masked_window_match_exists(
-                xd, yd, mask_x, mask_y, n, best + step):
-            best += step
-            step *= 2
-        lo, hi = best, min(best + step, n + 1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _masked_window_match_exists(xd, yd, mask_x, mask_y, n, mid):
-                lo = mid
-            else:
-                hi = mid
-        best = lo
-        out.append(best)
-    return out
+    return _longest_over_schedule(
+        lambda n, k: _masked_window_match_exists(xd, yd, mask_x, mask_y, n, k), ns)
 
 
 def _weight_vector(weights, alphabet_size: int) -> np.ndarray:

@@ -7,6 +7,8 @@ This module provides:
 - Overlapping window (block) counts and the empirical collision probability
   sum_B (N_B / M)^2 over observed length-k blocks, the plug-in ingredient of
   the order-2 entropy rate.
+- Exact window classes of any length by prefix doubling (`WindowClasses`),
+  shared by window counts and the substring matcher.
 - Stationary distributions of finite chains via power iteration.
 """
 
@@ -190,7 +192,7 @@ def block_codes(seq: SymbolSeq, k: int) -> np.ndarray:
     _check_block_len(seq, k)
     size = seq.alphabet.size
     if k * np.log2(max(size, 2)) > 62:
-        raise ValueError("block codes would overflow int64; use block_counts")
+        raise ValueError("block codes would overflow int64; use WindowClasses")
     m = seq.length - k + 1
     codes = np.zeros(m, dtype=np.int64)
     for t in range(k):
@@ -203,7 +205,8 @@ def block_counts(seq: SymbolSeq, k: int) -> dict[bytes, int]:
     """Occurrence counts of all overlapping length-k blocks.
 
     Keys are the packed symbol windows as bytes (alphabet size <= 256);
-    values sum to length - k + 1.
+    values sum to length - k + 1. A per-window reference for the counts of
+    `window_counts`.
     """
     _check_block_len(seq, k)
     if seq.alphabet.size > 256:
@@ -218,13 +221,65 @@ def block_counts(seq: SymbolSeq, k: int) -> dict[bytes, int]:
     return counts
 
 
+class WindowClasses:
+    """Exact class ids of the overlapping windows of one symbol array.
+
+    Prefix doubling (Manber-Myers 1993): level 0 holds the symbols, and level
+    j+1 holds the dense ranks of the pairs (id_j[i], id_j[i + 2^j]). Two
+    2^j-windows share an id exactly when they are equal, and ids follow the
+    lexicographic order of the windows. A k-window with 2^j <= k < 2^(j+1)
+    then has the exact key (id_j[i], id_j[i + k - 2^j]), packed into one
+    int64. Levels are built lazily, only as deep as the longest window asked
+    for. Arrays up to 2^31 symbols.
+    """
+
+    def __init__(self, symbols):
+        ids = np.asarray(symbols, dtype=np.int64)
+        if ids.ndim != 1 or ids.size == 0:
+            raise ValueError("window classes need a nonempty 1-d symbol array")
+        if ids.min() < 0 or ids.max() >= 2 ** 31:  # keep pair keys in [0, 2^62)
+            ids = np.unique(ids, return_inverse=True)[1]
+        self.length = int(ids.size)
+        self._ids = [ids]
+        self._bases = [int(ids.max()) + 1]
+
+    def _level(self, j: int) -> tuple[np.ndarray, int]:
+        while len(self._ids) <= j:
+            ids, base = self._ids[-1], self._bases[-1]
+            half = 1 << (len(self._ids) - 1)
+            nxt = np.unique(ids[:-half] * base + ids[half:], return_inverse=True)[1]
+            self._ids.append(nxt)
+            self._bases.append(int(nxt.max()) + 1)
+        return self._ids[j], self._bases[j]
+
+    def keys(self, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Keys of the k-windows starting in [start, stop); equal iff the windows are.
+
+        Keys follow the lexicographic order of the windows. `stop` defaults
+        to the last window start, length - k + 1.
+        """
+        if not 1 <= k <= self.length:
+            raise ValueError(f"window length k={k} out of range [1, {self.length}]")
+        last = self.length - k + 1
+        stop = last if stop is None else stop
+        if not 0 <= start <= stop <= last:
+            raise ValueError(f"window starts [{start}, {stop}) out of range [0, {last})")
+        j = int(k).bit_length() - 1
+        ids, base = self._level(j)
+        rest = k - (1 << j)
+        if rest == 0:
+            return ids[start:stop]
+        return ids[start:stop] * base + ids[start + rest:stop + rest]
+
+
 def window_counts(seq: SymbolSeq, k: int) -> np.ndarray:
-    """Occurrence counts of the distinct overlapping length-k windows."""
+    """Occurrence counts of the distinct overlapping length-k windows.
+
+    Counts come in the lexicographic order of the windows, counted by their
+    `WindowClasses` keys for every k.
+    """
     _check_block_len(seq, k)
-    try:
-        return np.unique(block_codes(seq, k), return_counts=True)[1]
-    except ValueError:
-        return np.asarray(list(block_counts(seq, k).values()), dtype=np.int64)
+    return np.unique(WindowClasses(seq.data).keys(k), return_counts=True)[1]
 
 
 def collision_sum(counts: np.ndarray) -> float:

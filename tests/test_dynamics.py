@@ -16,6 +16,11 @@ class TestOrbit:
         with pytest.raises(ValueError, match="finite"):
             Orbit(np.array([[bad], [0.5]]), space=space)
 
+    @pytest.mark.parametrize("space", ["torus", "cube"])
+    def test_rejects_zero_columns(self, space):
+        with pytest.raises(ValueError, match=r"nonempty \(n, dim\) array"):
+            Orbit(np.zeros((3, 0)), space=space)
+
     @pytest.mark.parametrize("shape", [(5,), (5, 2)])
     def test_caller_array_stays_writeable(self, shape):
         pts = np.random.default_rng(0).random(shape)

@@ -248,5 +248,12 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         assert cli.main(["orbit-law", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("text", ["", "# comments only\n", "- lcs_law\n- 4\n", "lcs_law\n"])
+    def test_empty_or_non_mapping_config_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert cli.main(["lcs-law", "--config", str(cfg)]) == 2
+        assert "must be a YAML mapping" in capsys.readouterr().err
+
     def test_selftest_command(self):
         assert cli.main(["selftest"]) == 0

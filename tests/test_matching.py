@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 from matchdim import (Alphabet, IIDSource, StretchEncoder, SymbolSeq,
                       ZeroInflation, encode, encoded_lcs, highest_score,
                       lcs_fast, lcs_oracle, sample)
-from matchdim.matching import lcs_lengths_over_schedule
+from matchdim.matching import lcs_lengths_over_schedule, masked_window_lcs
 
 
 def seq(symbols, size=None):
@@ -110,6 +110,86 @@ class TestFastPath:
         x = seq([0, 1, 0], 2)
         with pytest.raises(ValueError):
             lcs_lengths_over_schedule(x, x, (2, 2))
+
+
+def low_entropy_pair(seed, size, nx, ny):
+    # one symbol dominates, so matches are long and ties are common
+    rng = np.random.default_rng(seed)
+    p = np.full(size, 0.15 / max(size - 1, 1))
+    p[0] = 1.0 if size == 1 else 0.85
+    return (SymbolSeq(Alphabet(size), rng.choice(size, nx, p=p)),
+            SymbolSeq(Alphabet(size), rng.choice(size, ny, p=p)))
+
+
+class TestWindowClassKernel:
+    # 257 > 2N + 1 for N = 50, so the pair-key base must cover the symbol
+    # range; 2^40 symbols are ranked before their pairs are packed
+    @pytest.mark.parametrize("size", [1, 2, 7, 257, 2 ** 40])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_schedule_matches_oracle_per_prefix(self, size, seed):
+        rng = np.random.default_rng(seed)
+        x, y = (SymbolSeq(Alphabet(size), rng.integers(0, size, 50)) for _ in range(2))
+        if seed % 2:
+            x, y = low_entropy_pair(seed, min(size, 2 ** 20), 50, 50)
+            x, y = SymbolSeq(Alphabet(size), x.data), SymbolSeq(Alphabet(size), y.data)
+        for sched in ((1, 2, 3, 5, 8, 13, 21, 34, 50), tuple(range(1, 51)), (1, 50), (17,)):
+            assert lcs_lengths_over_schedule(x, y, sched) == [
+                lcs_oracle(x.prefix(n), y.prefix(n)).length for n in sched]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 64, 257])
+    def test_constant_sequences_build_every_level(self, n):
+        x = seq([1] * n, 2)
+        sched = sorted({1, max(1, n // 2), n})
+        assert lcs_lengths_over_schedule(x, x, sched) == sched
+        assert lcs_fast(x, x).witness == (0, 0, n)
+        assert lcs_fast(x, seq([0] * n, 2)).length == 0
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_witness_is_least_i_then_j_on_unequal_lengths(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.choice([1, 2, 3, 40]))
+        nx, ny = int(rng.integers(1, 30)), int(rng.integers(30, 60))
+        if rng.random() < 0.5:
+            nx, ny = ny, nx
+        x, y = low_entropy_pair(seed, size, nx, ny)
+        r = lcs_fast(x, y)
+        k = lcs_oracle(x, y).length
+        assert r.length == k
+        if k == 0:
+            assert r.witness == (0, 0, 0)
+            return
+        wits = [(i, j) for i in range(nx - k + 1) for j in range(ny - k + 1)
+                if np.array_equal(x.data[i:i + k], y.data[j:j + k])]
+        assert r.witness == (*min(wits), k)
+        assert lcs_fast(x, y, want_witness=False) == type(r)(k, (0, 0, 0))
+
+
+class TestMaskedWindowLcs:
+    @staticmethod
+    def brute_force(x, y, mask, n):
+        best = 0
+        for k in range(1, n + 1):
+            wx = {tuple(x.data[i:i + k] * mask[:k]) for i in range(n - k + 1)}
+            if any(tuple(y.data[j:j + k] * mask[:k]) in wx for j in range(n - k + 1)):
+                best = k
+        return best
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        x, y = low_entropy_pair(seed, 3, 40, 40)
+        mask = (rng.random(40) < 0.7).astype(np.int64)
+        sched = (1, 4, 9, 20, 40)
+        assert masked_window_lcs(x, y, mask, schedule=sched) == [
+            self.brute_force(x, y, mask, n) for n in sched]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_all_ones_mask_is_plain_lcs(self, seed):
+        x, y = low_entropy_pair(seed, 2, 300, 300)
+        sched = (1, 10, 100, 300)
+        assert (masked_window_lcs(x, y, np.ones(300), schedule=sched)
+                == lcs_lengths_over_schedule(x, y, sched))
 
 
 class TestEncodedLcs:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ import hypothesis.strategies as st
 from matchdim import (Alphabet, IIDSource, MarkovSource, SymbolSeq,
                       block_counts, collision_probability, sample,
                       stationary_distribution)
+from matchdim.sources import WindowClasses, collision_sum, window_counts
 
 
 def seq(symbols, size=None):
@@ -138,6 +141,78 @@ class TestBlockCounts:
         if k > n:
             k = n
         assert sum(block_counts(s, k).values()) == n - k + 1
+
+
+def repetitive(size, n, seed):
+    # a few distinct motifs glued with noise: long windows repeat often
+    rng = np.random.default_rng(seed)
+    motifs = [rng.integers(0, size, int(rng.integers(150, 250))) for _ in range(3)]
+    parts = []
+    while sum(p.size for p in parts) < n:
+        parts.append(motifs[int(rng.integers(3))])
+        parts.append(rng.integers(0, size, int(rng.integers(0, 3))))
+    return SymbolSeq(Alphabet(size), np.concatenate(parts)[:n])
+
+
+class TestWindowCounts:
+    # k on both sides of 62 / log2(size), past which Horner codes overflow int64
+    @pytest.mark.parametrize("size,ks", [(2, (1, 5, 62, 63, 64, 100, 129)),
+                                         (3, (39, 40, 41, 77)),
+                                         (256, (7, 8, 9, 33))])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_block_counts_in_window_order(self, size, ks, seed):
+        s = repetitive(size, 1500, seed)
+        for k in ks:
+            ref = block_counts(s, k)
+            counts = window_counts(s, k)
+            # counts follow the lexicographic order of the windows
+            assert counts.tolist() == [ref[key] for key in sorted(ref)]
+            assert collision_probability(s, k) == collision_sum(counts)
+            assert counts.max() > 1
+
+    @pytest.mark.parametrize("k", [1, 6, 7, 30])
+    def test_large_alphabet_matches_tuple_counter(self, k):
+        s = repetitive(1000, 500, 4)
+        ref = Counter(tuple(s.data[i:i + k]) for i in range(s.length - k + 1))
+        assert window_counts(s, k).tolist() == [ref[key] for key in sorted(ref)]
+
+
+class TestWindowClasses:
+    @pytest.mark.parametrize("size", [1, 2, 7, 2 ** 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_keys_order_windows_exactly(self, size, seed):
+        rng = np.random.default_rng(seed)
+        n = 37
+        data = rng.integers(0, size, n) if size <= 7 else rng.integers(0, 3, n) * (size // 3)
+        if size == 7:
+            data -= 3  # negative symbols are ranked first, as those past 2^31
+        classes = WindowClasses(data)
+        for k in range(1, n + 1):
+            keys = classes.keys(k)
+            windows = [tuple(data[i:i + k]) for i in range(n - k + 1)]
+            for a in range(len(windows)):
+                for b in range(len(windows)):
+                    assert ((keys[a] < keys[b]) == (windows[a] < windows[b])
+                            and (keys[a] == keys[b]) == (windows[a] == windows[b]))
+
+    def test_slices_match_full_keys(self):
+        data = np.random.default_rng(5).integers(0, 2, 200)
+        classes = WindowClasses(data)
+        for k in (1, 2, 3, 8, 13, 64, np.int64(200)):
+            full = classes.keys(k)
+            start = min(3, 201 - k)
+            assert np.array_equal(classes.keys(k, start, 201 - k), full[start:])
+            assert np.array_equal(classes.keys(k, 0, 0), full[:0])
+
+    def test_rejects_out_of_range(self):
+        classes = WindowClasses(np.array([0, 1, 0]))
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="window length"):
+                classes.keys(k)
+        with pytest.raises(ValueError, match="window starts"):
+            classes.keys(2, 0, 3)
+        with pytest.raises(ValueError):
+            WindowClasses(np.array([], dtype=np.int64))
 
 
 class TestCollisionProbability:
