@@ -12,26 +12,24 @@ from .sources import (Alphabet, IIDSource, MarkovSource, SymbolSeq,
                       block_counts, collision_probability, sample,
                       stationary_distribution)
 from .encoders import (Encoder, IdentityEncoder, InputExhausted, StretchEncoder,
-                       ZeroInflation, block_span, encode, required_input_length)
-from .matching import (MatchResult, encoded_lcs, highest_score, lcs_fast,
-                       lcs_oracle)
+                       ZeroInflation, encode)
+from .matching import MatchResult, highest_score, lcs_fast, lcs_oracle
 from .entropy import (EntropyEstimate, ScrabbleSpectrum, build_qstar,
                       dominant_eigenvalue, empirical_plateau, renyi2_empirical,
                       renyi2_iid, renyi2_markov, renyi2_scrabble,
                       renyi2_zero_inflated)
 from .dynamics import (Collapse, CoordinateProjection, IdentityObservation,
-                       LipschitzAffine, Orbit, PerturbedMap, SkewSystem,
+                       LipschitzAffine, Orbit, SkewSystem,
                        ThetaDriver, BernoulliDriver, UniformBallDriver,
                        TimesMap, ToralAutomorphism, default_toral_pair,
                        iterate, iterate_random, lebesgue_orbit, observe,
                        theta_driver, torus_distance)
-from .geometry import (DimensionFit, DistanceProfile, NearestPair,
+from .geometry import (DimensionFit, DistanceProfile, NearestPair, SlopeFit,
                        correlation_dimension, correlation_sum,
-                       default_radius_window, distance_profile,
+                       default_radius_window, distance_profile, fit_slope,
                        shortest_distance, shortest_distance_fast)
-from .harness import (ExperimentPlan, ExperimentResult, SlopeFit, fit_slope,
-                      plan_from_config, run, scrabble_crosscheck, selftest,
-                      theoretical_slope_limit)
+from .harness import (ExperimentPlan, ExperimentResult, plan_from_config, run,
+                      scrabble_crosscheck, selftest, theoretical_slope_limit)
 
 __version__ = "0.1.0"
 

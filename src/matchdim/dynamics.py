@@ -15,6 +15,18 @@ Random systems are driven either by the 4-branch piecewise-linear driver on
 [0,1] (selecting the doubling or tripling map at threshold 2/5), by i.i.d.
 Bernoulli choices between two maps, or by i.i.d. additive noise drawn
 uniformly from (-epsilon, epsilon).
+
+Every front end (`iterate`, `lebesgue_orbit`, `iterate_random`) compiles its
+system to plain integers and runs one integer loop, `_orbit`. Each fiber map
+becomes (a, b, c, d, bits), the matrix [[a, b], [c, d]] (a times map is
+[[m, 0], [0, 0]]) and the precision it spends per step. The driver becomes
+a per-step map-index stream and a noise stream, both drawn up front exactly
+as the drivers define them: Bernoulli choices and noise offsets from the
+trial's NumPy stream, selector indices from a fixed-point run of the
+piecewise-linear driver. The loop keeps its state in local integers, reduces
+mod 1 with a bit mask, inlines the refresh, and yields the top 53 bits of
+each coordinate, which NumPy collects and scales once. It therefore returns
+bitwise the points of a per-step fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -31,10 +43,13 @@ from .seeding import spawn_seed
 
 FRACTION_BITS = 1024
 _ONE = 1 << FRACTION_BITS
+_MASK = _ONE - 1
 _FIFTH = _ONE // 5
 _REFRESH_FLOOR = 160
 _OUT_SHIFT = FRACTION_BITS - 53
 _OUT_SCALE = 2.0 ** -53
+_NOISE_SHIFT = FRACTION_BITS - 62  # noise keeps 62 bits, far past the 53 emitted
+_BLOCK = 4096
 
 TORUS = "torus"
 CUBE = "cube"
@@ -132,22 +147,7 @@ class ToralAutomorphism:
         return (s - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class PerturbedMap:
-    """Base circle map plus per-step additive noise uniform in (-eps, eps)."""
-
-    base: TimesMap
-    epsilon: float
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("noise radius must be nonnegative")
-
-    kind = "perturbed"
-    dim = 1
-
-
-MapSpec = Union[TimesMap, ToralAutomorphism, PerturbedMap]
+MapSpec = Union[TimesMap, ToralAutomorphism]
 
 
 def default_toral_pair() -> tuple[ToralAutomorphism, ToralAutomorphism]:
@@ -155,74 +155,6 @@ def default_toral_pair() -> tuple[ToralAutomorphism, ToralAutomorphism]:
     pair = (ToralAutomorphism(((2, 1), (1, 1))), ToralAutomorphism(((3, 2), (1, 1))))
     assert pair[0].positive_entries and pair[1].positive_entries
     return pair
-
-
-class _FixedVector:
-    """Per-coordinate 1024-bit fixed-point state with optional bit refresh."""
-
-    __slots__ = ("coords", "precision", "refresher")
-
-    def __init__(self, coords: list[int], refresher: _pyrandom.Random | None):
-        self.coords = coords
-        self.precision = FRACTION_BITS
-        self.refresher = refresher
-
-    @classmethod
-    def from_floats(cls, values, dim: int) -> "_FixedVector":
-        vals = np.atleast_1d(np.asarray(values, dtype=float))
-        if vals.shape != (dim,):
-            raise ValueError(f"initial point must have dimension {dim}")
-        coords = []
-        for v in vals:
-            f = Fraction(float(v) % 1.0)
-            coords.append((f.numerator * _ONE) // f.denominator)
-        return cls(coords, None)
-
-    @classmethod
-    def uniform(cls, dim: int, refresher: _pyrandom.Random) -> "_FixedVector":
-        return cls([refresher.getrandbits(FRACTION_BITS) for _ in range(dim)],
-                   refresher)
-
-    def spend(self, bits: int) -> None:
-        if self.refresher is None:
-            return
-        self.precision -= bits
-        if self.precision < _REFRESH_FLOOR:
-            stale = FRACTION_BITS - self.precision
-            for i, x in enumerate(self.coords):
-                self.coords[i] = ((x >> stale) << stale) | self.refresher.getrandbits(stale)
-            self.precision = FRACTION_BITS
-
-    def emit(self, out: list[float]) -> None:
-        for x in self.coords:
-            out.append((x >> _OUT_SHIFT) * _OUT_SCALE)
-
-
-def _step_times(fv: _FixedVector, m: int, bits: int) -> None:
-    fv.coords[0] = (m * fv.coords[0]) % _ONE
-    fv.spend(bits)
-
-
-def _step_times_noisy(fv: _FixedVector, m: int, bits: int, noise_fixed: int) -> None:
-    fv.coords[0] = (m * fv.coords[0] + noise_fixed) % _ONE
-    fv.spend(bits)
-
-
-def _step_toral(fv: _FixedVector, rows, bits: int) -> None:
-    x, y = fv.coords
-    fv.coords[0] = (rows[0][0] * x + rows[0][1] * y) % _ONE
-    fv.coords[1] = (rows[1][0] * x + rows[1][1] * y) % _ONE
-    fv.spend(bits)
-
-
-def _theta_step_int(x: int) -> int:
-    if x < _FIFTH:
-        return 2 * x
-    if x < 2 * _FIFTH:
-        return 3 * x - _FIFTH
-    if x < 3 * _FIFTH:
-        return 2 * x - 4 * _FIFTH
-    return (3 * x - _ONE) >> 1
 
 
 def theta_driver(omega):
@@ -238,44 +170,114 @@ def theta_driver(omega):
     return float(out) if np.isscalar(omega) or np.ndim(omega) == 0 else out
 
 
-def _run_fixed(fv: _FixedVector, step, n: int, dim: int, space: str = TORUS) -> Orbit:
-    out: list[float] = []
-    fv.emit(out)
-    for k in range(n - 1):
-        step(fv, k)
-        fv.emit(out)
-    return Orbit(np.asarray(out, dtype=float).reshape(n, dim), space)
+def _exact(x0, dim: int) -> list[int]:
+    """Fixed-point coordinates of an explicit (dyadic) point."""
+    vals = np.atleast_1d(np.asarray(x0, dtype=float))
+    if vals.shape != (dim,):
+        raise ValueError(f"initial point must have dimension {dim}")
+    coords = []
+    for v in vals:
+        f = Fraction(float(v) % 1.0)
+        coords.append((f.numerator * _ONE) // f.denominator)
+    return coords
+
+
+def _start(x0, dim: int, seed: int, role: int) -> tuple[list[int], _pyrandom.Random | None]:
+    """x0 exactly without refresh, or a Lebesgue-random start and its refresh stream."""
+    if x0 is not None:
+        return _exact(x0, dim), None
+    refresher = _pyrandom.Random(spawn_seed(seed, role))
+    return [refresher.getrandbits(FRACTION_BITS) for _ in range(dim)], refresher
+
+
+def _fibers(maps, refreshed: bool) -> list[tuple[int, int, int, int, int]]:
+    """Each map as (a, b, c, d, bits): x -> a x + b y, y -> c x + d y, bits spent."""
+    out = []
+    for m in maps:
+        (a, b), (c, d) = m.matrix if isinstance(m, ToralAutomorphism) else ((m.m, 0), (0, 0))
+        out.append((a, b, c, d, m.bits_per_step if refreshed else 0))
+    return out
+
+
+def _orbit(fibers, coords: list[int], refresher, index: np.ndarray, noise: np.ndarray):
+    """The one orbit loop: yields x >> _OUT_SHIFT per coordinate, point by point.
+
+    Step k applies fibers[index[k]] and, on the circle, adds noise[k] * 2^-62;
+    `& _MASK` is the reduction mod 1, negative noise included. A refreshed
+    orbit re-draws its stale low bits once fewer than _REFRESH_FLOOR are valid.
+    The streams become Python ints a block at a time, so no orbit-long list
+    is ever held.
+    """
+    two = len(coords) == 2
+    x, y = coords if two else (coords[0], 0)
+    precision = FRACTION_BITS
+    yield x >> _OUT_SHIFT
+    if two:
+        yield y >> _OUT_SHIFT
+    for lo in range(0, index.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        for i, e in zip(index[block].tolist(), noise[block].tolist()):
+            a, b, c, d, bits = fibers[i]
+            if two:
+                x, y = (a * x + b * y) & _MASK, (c * x + d * y) & _MASK
+            else:
+                x = (a * x + (e << _NOISE_SHIFT)) & _MASK
+            precision -= bits
+            if precision < _REFRESH_FLOOR:
+                stale = FRACTION_BITS - precision
+                x = ((x >> stale) << stale) | refresher.getrandbits(stale)
+                if two:
+                    y = ((y >> stale) << stale) | refresher.getrandbits(stale)
+                precision = FRACTION_BITS
+            yield x >> _OUT_SHIFT
+            if two:
+                yield y >> _OUT_SHIFT
+
+
+def _theta_states(w: int, refresher):
+    """Theta driver states packed as (w >> _OUT_SHIFT) << 1 | [w >= 2/5]."""
+    fifth, two_fifths, three_fifths, four_fifths = (k * _FIFTH for k in range(1, 5))
+    spent = 2 if refresher is not None else 0  # steepest branch slope is 3
+    precision = FRACTION_BITS
+    while True:
+        yield (w >> _OUT_SHIFT) << 1 | (w >= two_fifths)
+        if w < fifth:
+            w = 2 * w
+        elif w < two_fifths:
+            w = 3 * w - fifth
+        elif w < three_fifths:
+            w = 2 * w - four_fifths
+        else:
+            w = (3 * w - _ONE) >> 1
+        precision -= spent
+        if precision < _REFRESH_FLOOR:
+            stale = FRACTION_BITS - precision
+            w = ((w >> stale) << stale) | refresher.getrandbits(stale)
+            precision = FRACTION_BITS
+
+
+def _run(maps, coords: list[int], refresher, n: int, index=None, noise=None) -> Orbit:
+    """n points from coords; index and noise (fixed point) default to zeros."""
+    zeros = np.zeros(n - 1, dtype=np.int64)
+    stream = _orbit(_fibers(maps, refresher is not None), coords, refresher,
+                    zeros if index is None else index, zeros if noise is None else noise)
+    dim = len(coords)
+    out = np.fromiter(stream, dtype=np.int64, count=n * dim)
+    return Orbit(out.reshape(n, dim) * _OUT_SCALE, TORUS)
 
 
 def iterate(map_spec: MapSpec, x0, n: int) -> Orbit:
     """Exact orbit [x0, T x0, ..., T^(n-1) x0] of a dyadic initial point."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(map_spec, PerturbedMap):
-        if map_spec.epsilon == 0.0:
-            return iterate(map_spec.base, x0, n)
-        raise ValueError("perturbed maps need a noise stream; use iterate_random")
-    fv = _FixedVector.from_floats(x0, map_spec.dim)
-    if isinstance(map_spec, TimesMap):
-        step = lambda s, k: _step_times(s, map_spec.m, map_spec.bits_per_step)
-    else:
-        step = lambda s, k: _step_toral(s, map_spec.matrix, map_spec.bits_per_step)
-    return _run_fixed(fv, step, n, map_spec.dim)
+    return _run((map_spec,), _exact(x0, map_spec.dim), None, n)
 
 
 def lebesgue_orbit(map_spec: MapSpec, n: int, seed: int) -> Orbit:
     """Orbit from a Lebesgue-random start, with lazy precision refresh."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(map_spec, PerturbedMap):
-        raise ValueError("perturbed maps need a noise stream; use iterate_random")
-    refresher = _pyrandom.Random(spawn_seed(seed, 0))
-    fv = _FixedVector.uniform(map_spec.dim, refresher)
-    if isinstance(map_spec, TimesMap):
-        step = lambda s, k: _step_times(s, map_spec.m, map_spec.bits_per_step)
-    else:
-        step = lambda s, k: _step_toral(s, map_spec.matrix, map_spec.bits_per_step)
-    return _run_fixed(fv, step, n, map_spec.dim)
+    return _run((map_spec,), *_start(None, map_spec.dim, seed, 0), n)
 
 
 @dataclass(frozen=True)
@@ -340,11 +342,6 @@ class SkewSystem:
         return self.maps[0].dim
 
 
-def _noise_to_fixed(v: float) -> int:
-    # 62 significant bits of noise is far beyond the 53 emitted per coordinate
-    return int(v * (1 << 62)) << (FRACTION_BITS - 62)
-
-
 def iterate_random(system: SkewSystem, omega0, x0, n: int, seed: int
                    ) -> tuple[Orbit, np.ndarray]:
     """Random orbit x_{k+1} = T_{omega_k}(x_k) plus the driver trajectory.
@@ -355,59 +352,25 @@ def iterate_random(system: SkewSystem, omega0, x0, n: int, seed: int
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    dim = system.dim
-    if x0 is None:
-        fv = _FixedVector.uniform(dim, _pyrandom.Random(spawn_seed(seed, 0)))
-    else:
-        fv = _FixedVector.from_floats(x0, dim)
-    maps = system.maps
+    coords, refresher = _start(x0, system.dim, seed, 0)
     driver = system.driver
-
-    def fiber_step(fv_, idx):
-        m = maps[idx]
-        if isinstance(m, TimesMap):
-            _step_times(fv_, m.m, m.bits_per_step)
-        else:
-            _step_toral(fv_, m.matrix, m.bits_per_step)
-
-    out: list[float] = []
     if isinstance(driver, ThetaDriver):
-        if omega0 is None:
-            wref = _pyrandom.Random(spawn_seed(seed, 1))
-            wfv = _FixedVector([wref.getrandbits(FRACTION_BITS)], wref)
-        else:
-            wfv = _FixedVector.from_floats(omega0, 1)
-        traj = np.empty(n, dtype=float)
-        fv.emit(out)
-        traj[0] = (wfv.coords[0] >> _OUT_SHIFT) * _OUT_SCALE
-        for k in range(1, n):
-            idx = 0 if wfv.coords[0] < 2 * _FIFTH else 1
-            fiber_step(fv, idx)
-            wfv.coords[0] = _theta_step_int(wfv.coords[0])
-            wfv.spend(2)  # steepest branch slope is 3
-            fv.emit(out)
-            traj[k] = (wfv.coords[0] >> _OUT_SHIFT) * _OUT_SCALE
-    elif isinstance(driver, BernoulliDriver):
-        rng = np.random.default_rng(spawn_seed(seed, 1))
-        idxs = (rng.random(max(n - 1, 0)) >= driver.q).astype(np.int64)
-        fv.emit(out)
-        for k in range(n - 1):
-            fiber_step(fv, int(idxs[k]))
-            fv.emit(out)
-        traj = idxs.astype(float)
-    else:
-        rng = np.random.default_rng(spawn_seed(seed, 1))
-        eps = driver.epsilon
-        noise = rng.uniform(-eps, eps, max(n - 1, 0)) if eps > 0 else np.zeros(max(n - 1, 0))
-        base = maps[0]
-        assert isinstance(base, TimesMap)
-        fv.emit(out)
-        for k in range(n - 1):
-            _step_times_noisy(fv, base.m, base.bits_per_step, _noise_to_fixed(float(noise[k])))
-            fv.emit(out)
-        traj = noise
-    orbit = Orbit(np.asarray(out, dtype=float).reshape(n, dim), TORUS)
-    return orbit, traj
+        (w,), w_refresher = _start(omega0, 1, seed, 1)
+        states = np.fromiter(_theta_states(w, w_refresher), dtype=np.int64, count=n)
+        orbit = _run(system.maps, coords, refresher, n, index=states[:-1] & 1)
+        return orbit, (states >> 1) * _OUT_SCALE
+    rng = np.random.default_rng(spawn_seed(seed, 1))
+    if isinstance(driver, BernoulliDriver):
+        index = (rng.random(n - 1) >= driver.q).astype(np.int64)
+        return _run(system.maps, coords, refresher, n, index=index), index.astype(float)
+    eps = driver.epsilon
+    noise = rng.uniform(-eps, eps, n - 1) if eps > 0 else np.zeros(n - 1)
+    # int(v * 2^62) per offset: astype truncates toward zero as int() does,
+    # exactly while |v| < 2 keeps the product inside int64
+    scaled = noise * 2.0 ** 62
+    fixed = (scaled.astype(np.int64) if eps <= 2.0
+             else np.array([int(v) for v in scaled.tolist()], dtype=object))
+    return _run(system.maps, coords, refresher, n, noise=fixed), noise
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,6 @@
 """Symbolic encoders: identity, zero-inflating contamination, and weight stretch.
 
-An encoder maps a raw symbol sequence to an encoded one. Each encoder also
-reports how far into the raw sequence one must look to determine a length-n
-encoded prefix (`block_span`), and the exact raw prefix consumed for a given
-input (`required_input_length`).
+An encoder maps a raw symbol sequence to an encoded one.
 
 - identity: passes symbols through unchanged.
 - zero inflation: multiplies symbol i by an i.i.d. 0/1 mask bit with
@@ -39,15 +36,6 @@ class IdentityEncoder:
                 f"input exhausted: need {n_out} symbols, input has {seq.length}")
         return seq.prefix(n_out)
 
-    def block_span(self, n: int) -> int:
-        return n
-
-    def required_input_length(self, n_out: int, seq: SymbolSeq) -> int:
-        if seq.length < n_out:
-            raise InputExhausted(
-                f"input exhausted: need {n_out} symbols, input has {seq.length}")
-        return n_out
-
 
 @dataclass(frozen=True)
 class ZeroInflation:
@@ -73,15 +61,6 @@ class ZeroInflation:
                 f"input exhausted: need {n_out} symbols, input has {seq.length}")
         return SymbolSeq(seq.alphabet, seq.data[:n_out] * self.mask(n_out))
 
-    def block_span(self, n: int) -> int:
-        return n
-
-    def required_input_length(self, n_out: int, seq: SymbolSeq) -> int:
-        if seq.length < n_out:
-            raise InputExhausted(
-                f"input exhausted: need {n_out} symbols, input has {seq.length}")
-        return n_out
-
 
 @dataclass(frozen=True)
 class StretchEncoder:
@@ -96,10 +75,6 @@ class StretchEncoder:
         object.__setattr__(self, "weights", w)
 
     kind = "stretch"
-
-    @property
-    def v_min(self) -> int:
-        return min(self.weights)
 
     def _weight_array(self, seq: SymbolSeq) -> np.ndarray:
         if int(seq.data.max(initial=0)) >= len(self.weights):
@@ -118,20 +93,6 @@ class StretchEncoder:
         out = np.repeat(seq.data[:m], w[:m])[:n_out]
         return SymbolSeq(seq.alphabet, out)
 
-    def block_span(self, n: int) -> int:
-        # ceil(n / v_min): smallest raw prefix guaranteed to cover n encoded symbols
-        return -(-n // self.v_min)
-
-    def required_input_length(self, n_out: int, seq: SymbolSeq) -> int:
-        w = self._weight_array(seq)
-        cum = np.cumsum(w)
-        total = int(cum[-1]) if cum.size else 0
-        if total < n_out:
-            raise InputExhausted(
-                f"input exhausted: need an encoded image of length {n_out}, "
-                f"input of length {seq.length} stretches to only {total}")
-        return int(np.searchsorted(cum, n_out, side="left")) + 1
-
     def image_length(self, seq: SymbolSeq, n_raw: int) -> int:
         """Exact encoded length of the first n_raw input symbols."""
         if n_raw > seq.length:
@@ -145,15 +106,3 @@ Encoder = Union[IdentityEncoder, ZeroInflation, StretchEncoder]
 def encode(encoder: Encoder, seq: SymbolSeq, n_out: int) -> SymbolSeq:
     """First n_out symbols of the encoded image of seq."""
     return encoder.encode(seq, n_out)
-
-
-def block_span(encoder: Encoder, n: int) -> int:
-    """Raw prefix length sufficient to determine any length-n encoded block."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return encoder.block_span(n)
-
-
-def required_input_length(encoder: Encoder, n_out: int, seq: SymbolSeq) -> int:
-    """Exact raw prefix length consumed to emit n_out encoded symbols."""
-    return encoder.required_input_length(n_out, seq)

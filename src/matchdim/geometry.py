@@ -25,8 +25,9 @@ bitwise-identical distances and witnesses.
 
 Correlation sums (Grassberger-Procaccia) count the pairs i < j closer than r
 among the engine's pairs on one grid at the largest radius, and the
-correlation dimension is the least-squares slope of log-sum versus log-radius
-over a geometric radius window.
+correlation dimension is the least-squares slope (`fit_slope`, the package's
+one least-squares fit, which the harness also uses) of log-sum versus
+log-radius over a geometric radius window.
 """
 
 from __future__ import annotations
@@ -57,6 +58,31 @@ class DistanceProfile:
     schedule: tuple[int, ...]
     m_values: np.ndarray
     witnesses: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class SlopeFit:
+    slope: float
+    intercept: float
+    stderr: float
+
+
+def fit_slope(xs, ys) -> SlopeFit:
+    """Ordinary least squares; exact on affine data."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if x.size != y.size or x.size < 3:
+        raise ValueError("need at least three points")
+    if np.ptp(x) == 0.0:
+        raise ValueError("xs are all equal; slope undefined")
+    xm, ym = x.mean(), y.mean()
+    sxx = float(((x - xm) ** 2).sum())
+    slope = float(((x - xm) * (y - ym)).sum() / sxx)
+    intercept = float(ym - slope * xm)
+    resid = y - (slope * x + intercept)
+    dof = x.size - 2
+    stderr = float(np.sqrt((resid ** 2).sum() / dof / sxx)) if dof > 0 else 0.0
+    return SlopeFit(slope, intercept, stderr)
 
 
 @dataclass(frozen=True)
@@ -324,17 +350,6 @@ def correlation_sum(points, r: float, space: str = TORUS) -> float:
     return 2.0 * count / (m * (m - 1))
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    xm, ym = x.mean(), y.mean()
-    sxx = float(((x - xm) ** 2).sum())
-    slope = float(((x - xm) * (y - ym)).sum() / sxx)
-    intercept = float(ym - slope * xm)
-    resid = y - (slope * x + intercept)
-    dof = x.size - 2
-    stderr = float(np.sqrt((resid ** 2).sum() / dof / sxx)) if dof > 0 else 0.0
-    return slope, intercept, stderr
-
-
 def default_radius_window(n_points: int, dim: int) -> tuple[float, float]:
     """One decade below 4 * n^(-1/dim): above the noise floor, below saturation."""
     r_hi = 4.0 * n_points ** (-1.0 / dim)
@@ -362,6 +377,6 @@ def correlation_dimension(points, r_lo: float, r_hi: float, n_radii: int = 8,
                       "excluded", RuntimeWarning, stacklevel=2)
     if usable.sum() < 3:
         raise ArithmeticError("fewer than three usable radii; enlarge the window")
-    slope, intercept, stderr = _ols(np.log(radii[usable]), np.log(sums[usable]))
-    return DimensionFit(slope=slope, intercept=intercept, stderr=stderr,
+    fit = fit_slope(np.log(radii[usable]), np.log(sums[usable]))
+    return DimensionFit(slope=fit.slope, intercept=fit.intercept, stderr=fit.stderr,
                         radii=radii, sums=sums, n_excluded=n_excluded)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, encoders, entropy, geometry, matching, sources
+from .geometry import SlopeFit, fit_slope
 from .seeding import spawn_seed
 
 EXPERIMENT_KINDS = ("lcs_law", "scrabble_law", "orbit_law",
@@ -39,31 +40,6 @@ CSV_HEADER = "experiment,trial,n,statistic,log_n,theory_limit"
 # role constants for per-trial stream derivation
 _ROLE_X, _ROLE_Y, _ROLE_MASK_X, _ROLE_MASK_Y = 0, 1, 2, 3
 _DIM_ESTIMATE_KEY = 999_983
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    intercept: float
-    stderr: float
-
-
-def fit_slope(xs, ys) -> SlopeFit:
-    """Ordinary least squares; exact on affine data."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.size != y.size or x.size < 3:
-        raise ValueError("need at least three points")
-    if np.ptp(x) == 0.0:
-        raise ValueError("xs are all equal; slope undefined")
-    xm, ym = x.mean(), y.mean()
-    sxx = float(((x - xm) ** 2).sum())
-    slope = float(((x - xm) * (y - ym)).sum() / sxx)
-    intercept = float(ym - slope * xm)
-    resid = y - (slope * x + intercept)
-    dof = x.size - 2
-    stderr = float(np.sqrt((resid ** 2).sum() / dof / sxx)) if dof > 0 else 0.0
-    return SlopeFit(slope, intercept, stderr)
 
 
 @dataclass(frozen=True)
@@ -155,17 +131,21 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         expect_collapse=bool(cfg.pop("expect_collapse", False)),
         label=cfg.pop("label", ""),
     )
-    if cfg:
-        raise ValueError(f"unrecognized config keys: {sorted(cfg)}")
+    _no_leftovers(cfg, "config")
     return plan
+
+
+def _no_leftovers(spec: dict, what: str) -> None:
+    if spec:
+        raise ValueError(f"unrecognized {what} keys: {sorted(spec)}")
 
 
 def _build_source(spec: dict):
     spec = dict(spec or {})
     kind = spec.pop("kind")
     if kind == "iid":
-        return sources.IIDSource(np.asarray(spec.pop("probs"), dtype=float))
-    if kind == "markov":
+        src = sources.IIDSource(np.asarray(spec.pop("probs"), dtype=float))
+    elif kind == "markov":
         P = np.asarray(spec.pop("transition"), dtype=float)
         init = spec.pop("initial", "stationary")
         if isinstance(init, str):
@@ -174,78 +154,78 @@ def _build_source(spec: dict):
             src = sources.MarkovSource.stationary(P)
         else:
             src = sources.MarkovSource(P, np.asarray(init, dtype=float))
-        if spec:
-            raise ValueError(f"unrecognized source keys: {sorted(spec)}")
-        return src
-    raise ValueError(f"unknown source kind {kind!r}")
+    else:
+        raise ValueError(f"unknown source kind {kind!r}")
+    _no_leftovers(spec, "source")
+    return src
 
 
 def _encoder_for_trial(plan: ExperimentPlan, trial: int, side: int) -> encoders.Encoder:
     spec = dict(plan.encoder or {"kind": "identity"})
-    kind = spec.get("kind", "identity")
+    kind = spec.pop("kind", "identity")
     if kind == "identity":
-        return encoders.IdentityEncoder()
-    if kind == "zero_inflation":
-        shared = bool(spec.get("shared_mask", True))
+        enc = encoders.IdentityEncoder()
+    elif kind == "zero_inflation":
+        shared = bool(spec.pop("shared_mask", True))
         role = _ROLE_MASK_X if (shared or side == 0) else _ROLE_MASK_Y
-        return encoders.ZeroInflation(
-            epsilon=float(spec["epsilon"]),
+        enc = encoders.ZeroInflation(
+            epsilon=float(spec.pop("epsilon")),
             mask_seed=spawn_seed(plan.master_seed, trial, role))
-    if kind == "stretch":
-        return encoders.StretchEncoder(tuple(int(v) for v in spec["weights"]))
-    raise ValueError(f"unknown encoder kind {kind!r}")
-
-
-def _build_map(spec: dict) -> dynamics.MapSpec:
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    if kind == "times_m":
-        return dynamics.TimesMap(int(spec.pop("m")))
-    if kind == "toral_automorphism":
-        return dynamics.ToralAutomorphism(tuple(tuple(row) for row in spec.pop("matrix")))
-    raise ValueError(f"unknown map kind {kind!r}")
+    elif kind == "stretch":
+        enc = encoders.StretchEncoder(tuple(int(v) for v in spec.pop("weights")))
+    else:
+        raise ValueError(f"unknown encoder kind {kind!r}")
+    _no_leftovers(spec, "encoder")
+    return enc
 
 
 def _build_system(spec: dict):
     """Returns (map_spec, None) for deterministic systems, (None, skew) for random."""
     spec = dict(spec or {})
-    kind = spec.get("kind")
-    if kind in ("times_m", "toral_automorphism"):
-        return _build_map(spec), None
-    if kind == "noniid_2x3x":
+    kind = spec.pop("kind", None)
+    map_spec = skew = None
+    if kind == "times_m":
+        map_spec = dynamics.TimesMap(int(spec.pop("m")))
+    elif kind == "toral_automorphism":
+        map_spec = dynamics.ToralAutomorphism(tuple(tuple(row) for row in spec.pop("matrix")))
+    elif kind == "noniid_2x3x":
         skew = dynamics.SkewSystem(dynamics.ThetaDriver(),
                                    (dynamics.TimesMap(2), dynamics.TimesMap(3)))
-        return None, skew
-    if kind == "perturbed_times_m":
-        base = dynamics.TimesMap(int(spec.get("m", 2)))
+    elif kind == "perturbed_times_m":
+        base = dynamics.TimesMap(int(spec.pop("m", 2)))
         skew = dynamics.SkewSystem(
-            dynamics.UniformBallDriver(float(spec.get("epsilon", 1e-3))), (base,))
-        return None, skew
-    if kind == "toral_pair":
+            dynamics.UniformBallDriver(float(spec.pop("epsilon", 1e-3))), (base,))
+    elif kind == "toral_pair":
         if "matrices" in spec:
             maps = tuple(dynamics.ToralAutomorphism(tuple(tuple(r) for r in m))
-                         for m in spec["matrices"])
+                         for m in spec.pop("matrices"))
         else:
             maps = dynamics.default_toral_pair()
-        skew = dynamics.SkewSystem(dynamics.BernoulliDriver(float(spec.get("q", 0.5))),
+        skew = dynamics.SkewSystem(dynamics.BernoulliDriver(float(spec.pop("q", 0.5))),
                                    maps)
-        return None, skew
-    raise ValueError(f"unknown system kind {kind!r}")
+    else:
+        raise ValueError(f"unknown system kind {kind!r}")
+    _no_leftovers(spec, "system")
+    return map_spec, skew
 
 
 def _build_observation(spec: dict | None) -> dynamics.ObservationSpec:
     spec = dict(spec or {"kind": "identity"})
-    kind = spec.get("kind", "identity")
+    kind = spec.pop("kind", "identity")
     if kind == "identity":
-        return dynamics.IdentityObservation()
-    if kind == "coordinate_projection":
-        return dynamics.CoordinateProjection(int(spec.get("index", 0)))
-    if kind == "lipschitz_affine":
-        return dynamics.LipschitzAffine(tuple(tuple(r) for r in spec["matrix"]),
-                                        tuple(spec.get("offset", [0.0] * len(spec["matrix"]))))
-    if kind == "collapse":
-        return dynamics.Collapse(tuple(spec["interval"]), float(spec["value"]))
-    raise ValueError(f"unknown observation kind {kind!r}")
+        obs = dynamics.IdentityObservation()
+    elif kind == "coordinate_projection":
+        obs = dynamics.CoordinateProjection(int(spec.pop("index", 0)))
+    elif kind == "lipschitz_affine":
+        matrix = spec.pop("matrix")
+        obs = dynamics.LipschitzAffine(tuple(tuple(r) for r in matrix),
+                                       tuple(spec.pop("offset", [0.0] * len(matrix))))
+    elif kind == "collapse":
+        obs = dynamics.Collapse(tuple(spec.pop("interval")), float(spec.pop("value")))
+    else:
+        raise ValueError(f"unknown observation kind {kind!r}")
+    _no_leftovers(spec, "observation")
+    return obs
 
 
 def closed_form_entropy(plan: ExperimentPlan) -> float | None:

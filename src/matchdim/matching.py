@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .encoders import Encoder, encode
 from .sources import SymbolSeq, WindowClasses
 
 
@@ -153,11 +152,6 @@ def lcs_lengths_over_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]
     top = ns[-1]
     classes = WindowClasses(np.concatenate((x.data[:top], y.data[:top])))
     return _longest_over_schedule(lambda n, k: _classes_meet(classes, k, top, n, n), ns)
-
-
-def encoded_lcs(x: SymbolSeq, y: SymbolSeq, encoder: Encoder, n: int) -> MatchResult:
-    """Longest common substring of the two length-n encoded images."""
-    return lcs_fast(encode(encoder, x, n), encode(encoder, y, n))
 
 
 def _masked_window_match_exists(xd, yd, mask_x, mask_y, n: int, k: int) -> bool:

@@ -1,12 +1,17 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from matchdim import (BernoulliDriver, Collapse, CoordinateProjection,
-                      IdentityObservation, LipschitzAffine, Orbit, PerturbedMap,
+                      IdentityObservation, LipschitzAffine, Orbit,
                       SkewSystem, ThetaDriver, TimesMap, ToralAutomorphism,
                       UniformBallDriver, default_toral_pair, iterate,
                       iterate_random, lebesgue_orbit, observe, theta_driver,
                       torus_distance)
+from matchdim.dynamics import _BLOCK
+from matchdim.seeding import spawn_seed
 
 
 class TestOrbit:
@@ -197,3 +202,140 @@ class TestTorusDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             torus_distance([0.1], [0.1, 0.2])
+
+
+# Per-step fixed-point reference: one coordinate list per point, reduced with
+# `% 1`, refreshed coordinate by coordinate. It is the route the hoisted
+# integer orbit loop replaced, kept here so every driver stays checkable.
+_BITS = 1024
+_UNIT = 1 << _BITS
+_EMIT = _BITS - 53
+
+
+class _Reference:
+    def __init__(self, x0, dim, seed, role):
+        if x0 is None:
+            self.refresher = random.Random(spawn_seed(seed, role))
+            self.coords = [self.refresher.getrandbits(_BITS) for _ in range(dim)]
+        else:
+            self.refresher = None
+            fracs = [Fraction(float(v) % 1.0) for v in np.atleast_1d(x0)]
+            self.coords = [f.numerator * _UNIT // f.denominator for f in fracs]
+        self.precision = _BITS
+
+    def spend(self, bits):
+        if self.refresher is None:
+            return
+        self.precision -= bits
+        if self.precision < 160:
+            stale = _BITS - self.precision
+            self.coords = [((c >> stale) << stale) | self.refresher.getrandbits(stale)
+                           for c in self.coords]
+            self.precision = _BITS
+
+    def apply(self, fiber, noise=0.0):
+        rows = fiber.matrix if isinstance(fiber, ToralAutomorphism) else ((fiber.m,),)
+        shifted = int(noise * (1 << 62)) << (_BITS - 62)
+        self.coords = [(sum(r * c for r, c in zip(row, self.coords)) + shifted) % _UNIT
+                       for row in rows]
+        self.spend(fiber.bits_per_step)
+
+    def point(self):
+        return [(c >> _EMIT) * 2.0 ** -53 for c in self.coords]
+
+
+def _reference_theta(w):
+    fifth = _UNIT // 5
+    if w < fifth:
+        return 2 * w
+    if w < 2 * fifth:
+        return 3 * w - fifth
+    if w < 3 * fifth:
+        return 2 * w - 4 * fifth
+    return (3 * w - _UNIT) >> 1
+
+
+def _reference_random(system, omega0, x0, n, seed):
+    state = _Reference(x0, system.dim, seed, 0)
+    points = [state.point()]
+    driver = system.driver
+    if isinstance(driver, ThetaDriver):
+        w = _Reference(omega0, 1, seed, 1)
+        traj = [w.point()[0]]
+        for _ in range(n - 1):
+            state.apply(system.maps[0 if w.coords[0] < 2 * (_UNIT // 5) else 1])
+            w.coords = [_reference_theta(w.coords[0])]
+            w.spend(2)
+            points.append(state.point())
+            traj.append(w.point()[0])
+        return np.array(points), np.array(traj)
+    rng = np.random.default_rng(spawn_seed(seed, 1))
+    if isinstance(driver, BernoulliDriver):
+        traj = (rng.random(n - 1) >= driver.q).astype(float)
+        for idx in traj:
+            state.apply(system.maps[int(idx)])
+            points.append(state.point())
+        return np.array(points), traj
+    eps = driver.epsilon
+    traj = rng.uniform(-eps, eps, n - 1) if eps > 0 else np.zeros(n - 1)
+    for v in traj:
+        state.apply(system.maps[0], float(v))
+        points.append(state.point())
+    return np.array(points), traj
+
+
+def _reference_map(map_spec, x0, n, seed=None):
+    state = _Reference(x0, map_spec.dim, seed, 0)
+    points = [state.point()]
+    for _ in range(n - 1):
+        state.apply(map_spec)
+        points.append(state.point())
+    return np.array(points)
+
+
+# n - 1 steps at one block minus one, one block and one block plus one; every
+# size passes several refreshes
+_SIZES = [_BLOCK, _BLOCK + 1, _BLOCK + 2]
+_TORAL = ToralAutomorphism(((2, 1), (1, 1)))
+_SYSTEMS = {
+    "theta": SkewSystem(ThetaDriver(), (TimesMap(2), TimesMap(3))),
+    "bernoulli_toral": SkewSystem(BernoulliDriver(0.5), default_toral_pair()),
+    "noise_0": SkewSystem(UniformBallDriver(0.0), (TimesMap(2),)),
+    "noise_1e-3": SkewSystem(UniformBallDriver(1e-3), (TimesMap(2),)),
+    # offsets past 2 in magnitude overflow int64 once scaled by 2^62
+    "noise_3": SkewSystem(UniformBallDriver(3.0), (TimesMap(2),)),
+}
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("n", _SIZES)
+    @pytest.mark.parametrize("map_spec", [TimesMap(2), TimesMap(3), _TORAL],
+                             ids=["times2", "times3", "toral"])
+    def test_deterministic_maps(self, map_spec, n):
+        x0 = 0.3 if map_spec.dim == 1 else (0.37, 0.81)
+        assert np.array_equal(iterate(map_spec, x0, n).points,
+                              _reference_map(map_spec, x0, n))
+        assert np.array_equal(lebesgue_orbit(map_spec, n, 21).points,
+                              _reference_map(map_spec, None, n, seed=21))
+
+    @pytest.mark.parametrize("n", _SIZES)
+    @pytest.mark.parametrize("name", list(_SYSTEMS))
+    def test_random_systems(self, name, n):
+        system = _SYSTEMS[name]
+        x0 = 0.3 if system.dim == 1 else (0.2, 0.7)
+        omega0 = 0.55 if isinstance(system.driver, ThetaDriver) else None
+        for start in ((None, None), (omega0, x0)):
+            orbit, traj = iterate_random(system, *start, n, seed=13)
+            ref_points, ref_traj = _reference_random(system, *start, n, seed=13)
+            assert np.array_equal(orbit.points, ref_points)
+            assert np.array_equal(traj, ref_traj)
+
+    def test_negative_noise_wraps_a_point_near_zero(self):
+        system = _SYSTEMS["noise_1e-3"]
+        seed = next(s for s in range(100)
+                    if iterate_random(system, None, 0.0, 2, s)[1][0] < 0)
+        orbit, traj = iterate_random(system, None, 0.0, 50, seed)
+        ref_points, ref_traj = _reference_random(system, None, 0.0, 50, seed)
+        assert orbit.points[1, 0] > 0.999  # 0 * 2 + negative noise, mod 1
+        assert np.array_equal(orbit.points, ref_points)
+        assert np.array_equal(traj, ref_traj)

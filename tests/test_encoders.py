@@ -4,8 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from matchdim import (IIDSource, IdentityEncoder, InputExhausted, StretchEncoder,
-                      SymbolSeq, ZeroInflation, block_span, encode,
-                      required_input_length, sample)
+                      SymbolSeq, ZeroInflation, encode, sample)
 
 
 def seq(symbols, size=None):
@@ -22,10 +21,6 @@ class TestIdentity:
     def test_equals_prefix(self, seed, n):
         s = sample(IIDSource(np.array([0.4, 0.6])), 50, seed)
         assert np.array_equal(encode(IdentityEncoder(), s, n).data, s.data[:n])
-
-    def test_spans(self):
-        assert block_span(IdentityEncoder(), 7) == 7
-        assert required_input_length(IdentityEncoder(), 10, seq([0] * 12)) == 10
 
     def test_exhausted(self):
         with pytest.raises(InputExhausted, match="10"):
@@ -59,9 +54,6 @@ class TestZeroInflation:
         sigma = np.sqrt(eps * (1 - eps) / 10 ** 6)
         assert abs(m.mean() - (1 - eps)) < 3 * sigma
 
-    def test_span_is_output_length(self):
-        assert block_span(ZeroInflation(0.3, 1), 12) == 12
-
     def test_epsilon_range(self):
         with pytest.raises(ValueError):
             ZeroInflation(epsilon=1.0, mask_seed=0)
@@ -79,22 +71,15 @@ class TestStretch:
         # cumulative weights 3, 6, ... for input 110...: image length 4 needs 2 symbols
         enc = StretchEncoder((1, 3))
         s = seq([1, 1, 0, 0, 0], 2)
-        assert required_input_length(enc, 4, s) == 2
+        assert encode(enc, s.prefix(2), 4).to_text() == encode(enc, s, 4).to_text() == "1111"
+        with pytest.raises(InputExhausted):
+            encode(enc, s.prefix(1), 4)
         # all-zero input at weight 2: image length 5 needs 3 symbols
         enc2 = StretchEncoder((2,))
         s2 = seq([0, 0, 0, 0], 1)
-        assert required_input_length(enc2, 5, s2) == 3
-
-    def test_block_span_ceiling(self):
-        assert block_span(StretchEncoder((2, 3)), 7) == 4  # ceil(7/2)
-
-    @given(st.integers(1, 200), st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_block_span_bracket(self, n, v_min):
-        enc = StretchEncoder((v_min, v_min + 2))
-        span = block_span(enc, n)
-        assert span * v_min >= n
-        assert (span - 1) * v_min < n
+        assert encode(enc2, s2.prefix(3), 5).to_text() == "00000"
+        with pytest.raises(InputExhausted):
+            encode(enc2, s2.prefix(2), 5)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 120))
     @settings(max_examples=60, deadline=None)
@@ -122,11 +107,14 @@ class TestStretch:
         w = np.asarray(enc.weights)[raw.data]
         if w.sum() < n_out:
             with pytest.raises(InputExhausted):
-                required_input_length(enc, n_out, raw)
+                encode(enc, raw, n_out)
             return
-        m = required_input_length(enc, n_out, raw)
-        assert w[:m].sum() >= n_out
-        assert w[:m - 1].sum() < n_out
+        # the shortest raw prefix whose stretched image reaches n_out symbols
+        m = int(np.argmax(np.cumsum(w) >= n_out)) + 1
+        assert np.array_equal(encode(enc, raw.prefix(m), n_out).data,
+                              encode(enc, raw, n_out).data)
+        with pytest.raises(InputExhausted):
+            encode(enc, raw.prefix(m - 1), n_out)
 
     def test_exhausted_error_names_lengths(self):
         with pytest.raises(InputExhausted, match="length 9"):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from matchdim.harness import (ExperimentPlan, fit_slope, plan_from_config, run,
                               theoretical_slope_limit)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
 def small_plan(**overrides):
@@ -66,6 +69,31 @@ class TestPlanParsing:
             with open(path) as fh:
                 plan = plan_from_config(yaml.safe_load(fh))
             assert plan.trials >= 1
+
+
+class TestStrictSpecs:
+    """A misspelled key in a nested spec is rejected, never silently defaulted."""
+
+    def test_system_keys(self):
+        with pytest.raises(ValueError, match=r"unrecognized system keys: \['epsillon'\]"):
+            harness._build_system({"kind": "perturbed_times_m", "epsillon": 0.5})
+        with pytest.raises(ValueError, match="unrecognized system keys"):
+            harness._build_system({"kind": "times_m", "m": 2, "q": 0.5})
+
+    def test_observation_keys(self):
+        with pytest.raises(ValueError, match=r"unrecognized observation keys: \['idx'\]"):
+            harness._build_observation({"kind": "coordinate_projection", "idx": 1})
+
+    def test_encoder_keys(self):
+        plan = small_plan(encoder={"kind": "zero_inflation", "epsilon": 0.3,
+                                   "shared": False})
+        with pytest.raises(ValueError, match=r"unrecognized encoder keys: \['shared'\]"):
+            harness._encoder_for_trial(plan, 0, 1)
+
+    def test_iid_source_keys(self):
+        with pytest.raises(ValueError, match=r"unrecognized source keys: \['initial'\]"):
+            harness._build_source({"kind": "iid", "probs": [0.5, 0.5],
+                                   "initial": "stationary"})
 
 
 class TestTheoryLimits:
@@ -174,6 +202,37 @@ class TestRun:
         assert first[0] == "lcs_law"
         assert int(first[1]) == 0 and int(first[2]) == 64
         assert float(first[4]) == pytest.approx(math.log(64))
+
+
+def _csv_digest(name: str, **overrides):
+    with open(CONFIG_DIR / f"{name}.yaml") as fh:
+        cfg = yaml.safe_load(fh)
+    cfg.update(overrides)
+    result = run(plan_from_config(cfg))
+    return hashlib.sha256(result.to_csv().encode()).hexdigest(), result.passed
+
+
+class TestOrbitOutputGuard:
+    """Orbit configs keep their exact output bytes through any engine change."""
+
+    def test_random_perturbed_matches_benchmark_reference(self):
+        ref = json.loads(REFERENCES.read_text())["random_perturbed"]
+        digest, passed = _csv_digest("random_perturbed", seed=ref["seed"],
+                                     trials=ref["trials"])
+        assert (digest, passed) == (ref["csv_sha256"], ref["passed"])
+
+    # one trial each, schedule cut to 2^10..2^14
+    @pytest.mark.parametrize("name, digest, passed", [
+        ("orbit_doubling",
+         "f61d33788f320b3bab09a8bfbcc74fbd42bb6936fd340ce43df17b40a9086831", False),
+        ("random_noniid",
+         "9dc71162ccf28f5855c830d24393bc10980d768c2dfa13bcf21e80b4292a2299", False),
+        ("random_toral",
+         "5dd4ed1899e1cdcb19f101ca786048dcda942ff299689c39f31f9b8500022df1", True),
+    ])
+    def test_cut_orbit_configs_are_pinned(self, name, digest, passed):
+        cut = {"start_pow2": 10, "stop_pow2": 14}
+        assert _csv_digest(name, trials=1, schedule=cut) == (digest, passed)
 
 
 class TestMaskSharing:
