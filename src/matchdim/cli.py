@@ -4,7 +4,9 @@ Subcommands map one-to-one onto experiment kinds (`lcs-law`, `scrabble-law`,
 `orbit-law`, `random-orbit-law`, `entropy`) plus `selftest`. Each experiment
 reads a YAML config, writes the per-trial CSV to --out (or stdout) and a
 one-line summary to stderr; the exit status is 0 exactly when every
-configured tolerance gate passed.
+configured tolerance gate passed, 1 when a gate failed, and 2 for a config
+error (not a mapping, a kind that does not match the subcommand, or a bad,
+missing or unknown key), which is reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -64,7 +66,11 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg["seed"] = args.seed
-    plan = harness.plan_from_config(cfg)
+    try:
+        plan = harness.plan_from_config(cfg)
+    except (ValueError, KeyError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     result = harness.run(plan, threads=max(1, args.threads))
     csv_text = result.to_csv()
     if args.out:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import (SymbolSeq, block_codes, collision_sum, window_counts,
-                      _check_probability_vector)
+from .sources import (SymbolSeq, collision_sum, window_counts,
+                      _check_probability_vector, _check_stochastic)
 
 EIGEN_ROOT_ATOL = 1e-9
 
@@ -63,15 +63,6 @@ def renyi2_iid(probs) -> float:
     """-log of the collision probability of one symbol draw."""
     p = _check_probability_vector(np.asarray(probs, dtype=float), "probs")
     return float(-np.log(np.sum(p * p)))
-
-
-def _check_stochastic(P) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
-        raise ValueError("transition matrix must be square and nonempty")
-    if P.min() < 0 or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-        raise ValueError("transition matrix must be row-stochastic")
-    return P
 
 
 def _is_irreducible(M: np.ndarray) -> bool:
@@ -135,6 +126,15 @@ def renyi2_zero_inflated(probs, epsilon: float) -> float:
     return (1.0 - epsilon) * renyi2_iid(probs)
 
 
+def _symbol_weights(weights, d: int) -> list[int]:
+    """One positive integer weight per symbol, from a sequence or a dict."""
+    w = [int(v) for v in (weights if not isinstance(weights, dict)
+                          else [weights[s] for s in range(d)])]
+    if len(w) != d or any(v < 1 for v in w):
+        raise ValueError("weights must give a positive integer per symbol")
+    return w
+
+
 def build_qstar(P, weights) -> np.ndarray:
     """Transition matrix of the weight-stretched chain.
 
@@ -145,10 +145,7 @@ def build_qstar(P, weights) -> np.ndarray:
     """
     P = _check_stochastic(P)
     d = P.shape[0]
-    w = [int(v) for v in (weights if not isinstance(weights, dict)
-                          else [weights[s] for s in range(d)])]
-    if len(w) != d or any(v < 1 for v in w):
-        raise ValueError("weights must give a positive integer per symbol")
+    w = _symbol_weights(weights, d)
     offsets = np.concatenate([[0], np.cumsum(w)])
     total = int(offsets[-1])
     Q = np.zeros((total, total))
@@ -210,11 +207,7 @@ def renyi2_scrabble(P, weights) -> ScrabbleSpectrum:
     P = _check_stochastic(P)
     if not _is_irreducible(P):
         raise ValueError("transition matrix must be irreducible")
-    d = P.shape[0]
-    w = [int(v) for v in (weights if not isinstance(weights, dict)
-                          else [weights[s] for s in range(d)])]
-    if len(w) != d or any(v < 1 for v in w):
-        raise ValueError("weights must give a positive integer per symbol")
+    w = _symbol_weights(weights, P.shape[0])
     if (math.gcd(*w) if len(w) > 1 else w[0]) != 1:
         warnings.warn("weight gcd != 1: stretched chain may be periodic",
                       RuntimeWarning, stacklevel=2)
@@ -259,8 +252,9 @@ def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
     minimizes the step |H(k+1) - H(k)| over that range: the flattest step is
     the best bias/noise tradeoff.
 
-    Each k extends the (k-1)-window Horner codes of `block_codes` by one
-    symbol and counts them once; every row equals `renyi2_empirical(seq, k)`.
+    Each k extends the (k-1)-window Horner codes by one symbol and counts them
+    once; past hard_cap (n < 12 or > 2^20 letters) `window_counts` counts, in
+    the same window order. Every row equals `renyi2_empirical(seq, k)`.
     """
     size = seq.alphabet.size
     hard_cap = min(int(62 / math.log2(max(size, 2))), seq.length // 4, 256)
@@ -268,10 +262,11 @@ def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
     table: list[EntropyEstimate] = []
     codes = seq.data
     for k in range(2, max(hard_cap, 3) + 1):
-        # past hard_cap (n < 12 or > 2^20 letters) block_codes checks k and int64
-        codes = (codes[:-1] * size + seq.data[k - 1:] if k <= hard_cap
-                 else block_codes(seq, k))
-        est = _plug_in(np.unique(codes, return_counts=True)[1], k)
+        if k <= hard_cap:
+            codes = codes[:-1] * size + seq.data[k - 1:]
+            est = _plug_in(np.unique(codes, return_counts=True)[1], k)
+        else:
+            est = _plug_in(window_counts(seq, k), k)
         table.append(est)
         if est.collision * windows < min_coincidences:
             break

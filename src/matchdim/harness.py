@@ -132,6 +132,12 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         label=cfg.pop("label", ""),
     )
     _no_leftovers(cfg, "config")
+    # build each nested spec once, so a bad key fails here, not in a trial
+    for build, spec in ((_build_source, plan.source), (_build_system, plan.system),
+                        (_build_observation, plan.observation)):
+        if spec is not None:
+            build(spec)
+    _encoder_for_trial(plan, 0, 0)
     return plan
 
 
@@ -231,23 +237,18 @@ def _build_observation(spec: dict | None) -> dynamics.ObservationSpec:
 def closed_form_entropy(plan: ExperimentPlan) -> float | None:
     """Collision entropy rate of the configured encoded source, when known."""
     src = _build_source(plan.source)
-    enc_kind = (plan.encoder or {"kind": "identity"}).get("kind", "identity")
-    if enc_kind == "identity":
+    enc = _encoder_for_trial(plan, 0, 0)
+    if isinstance(enc, encoders.IdentityEncoder):
         if isinstance(src, sources.IIDSource):
             return entropy.renyi2_iid(src.probs)
         return entropy.renyi2_markov(src.transition)
-    if enc_kind == "zero_inflation":
+    if isinstance(enc, encoders.ZeroInflation):
         if not isinstance(src, sources.IIDSource):
             raise ValueError("zero-inflation closed form needs an i.i.d. source")
-        return entropy.renyi2_zero_inflated(src.probs, float(plan.encoder["epsilon"]))
-    if enc_kind == "stretch":
-        weights = tuple(int(v) for v in plan.encoder["weights"])
-        if isinstance(src, sources.IIDSource):
-            P = np.tile(src.probs, (src.probs.size, 1))
-        else:
-            P = src.transition
-        return entropy.renyi2_scrabble(P, weights).entropy
-    raise ValueError(f"unknown encoder kind {enc_kind!r}")
+        return entropy.renyi2_zero_inflated(src.probs, enc.epsilon)
+    P = (np.tile(src.probs, (src.probs.size, 1)) if isinstance(src, sources.IIDSource)
+         else src.transition)
+    return entropy.renyi2_scrabble(P, enc.weights).entropy
 
 
 def theoretical_slope_limit(plan: ExperimentPlan) -> float | None:
@@ -354,13 +355,10 @@ def _gate(plan: ExperimentPlan, slope: float | None, theory: float | None) -> bo
 
 
 def _run_trials(plan: ExperimentPlan, fn, threads: int):
-    trials = range(plan.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fn, trials))
-    else:
-        results = [fn(t) for t in trials]
-    return results
+    if threads <= 1:
+        return [fn(t) for t in range(plan.trials)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(plan.trials)))
 
 
 def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
@@ -373,10 +371,9 @@ def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
         ys = stat_matrix.mean(axis=0)
         theory = theoretical_slope_limit(plan)
         fit = fit_slope(np.log(plan.schedule), ys)
-        result = ExperimentResult(plan=plan, rows=_rows(plan, stat_matrix),
-                                  theory_limit=theory, fit=fit,
-                                  passed=_gate(plan, fit.slope, theory))
-        return result
+        return ExperimentResult(plan=plan, rows=_rows(plan, stat_matrix),
+                                theory_limit=theory, fit=fit,
+                                passed=_gate(plan, fit.slope, theory))
     if plan.kind in ("orbit_law", "random_orbit_law"):
         per_trial = _run_trials(plan, lambda t: _orbit_trial(plan, t), threads)
         stat_matrix = np.asarray(per_trial, dtype=float)
@@ -438,12 +435,10 @@ def scrabble_crosscheck(plan: ExperimentPlan, n_raw: int = 4096) -> list[int]:
     The encoded windows are the exact stretched images of the raw length-n_raw
     prefixes, so the two statistics may differ only by run-boundary effects.
     """
-    spec = plan.encoder or {}
-    if spec.get("kind") != "stretch":
+    enc = _encoder_for_trial(plan, 0, 0)
+    if not isinstance(enc, encoders.StretchEncoder):
         raise ValueError("cross-check applies to stretch-encoder plans")
-    weights = tuple(int(v) for v in spec["weights"])
     src = _build_source(plan.source)
-    enc = encoders.StretchEncoder(weights)
     diffs = []
     for trial in range(plan.trials):
         x = sources.sample(src, n_raw, spawn_seed(plan.master_seed, trial, _ROLE_X))
@@ -453,7 +448,7 @@ def scrabble_crosscheck(plan: ExperimentPlan, n_raw: int = 4096) -> list[int]:
         encoded_len = matching.lcs_fast(encoders.encode(enc, x, na),
                                         encoders.encode(enc, y, nb),
                                         want_witness=False).length
-        score = matching.highest_score(x, y, n_raw, weights).length
+        score = matching.highest_score(x, y, n_raw, enc.weights).length
         diffs.append(encoded_len - score)
     return diffs
 

@@ -11,7 +11,8 @@ route; the oracle exists to cross-check it and is kept independent of it.
 
 `highest_score` generalizes match length to weighted match score: every
 symbol carries a positive integer weight and a common substring scores the
-sum of its symbol weights.
+sum of its symbol weights. One match-table DP (`_best_run`) serves both the
+oracle, with unit weights, and the weighted score.
 
 Witnesses are (i, j, k): start positions in each sequence and the match
 length. Ties are broken toward the lexicographically smallest (i, j) so
@@ -49,19 +50,19 @@ def _check_pair(x: SymbolSeq, y: SymbolSeq) -> None:
         raise ValueError("sequences must share an alphabet")
 
 
-def lcs_oracle(x: SymbolSeq, y: SymbolSeq) -> MatchResult:
-    """Exact longest common substring by the quadratic match-suffix table.
+def _best_run(xd: np.ndarray, yd: np.ndarray, wx: list[int]) -> MatchResult:
+    """Heaviest common run of xd and yd, wx[i] being the weight of xd[i].
 
-    T[i, j] = length of the maximal common run starting at (i, j), computed
-    row by row from the bottom; the answer is the table maximum.
+    T[i, j] = weight of the maximal common run starting at (i, j), computed
+    row by row from the bottom (positive weights make the maximal run the
+    heaviest one starting there). The witness is the least (i, j) among the
+    maxima; its length k is found afterwards by comparing forward from (i, j).
     """
-    _check_pair(x, y)
-    xd, yd = x.data, y.data
     prev = np.zeros(yd.size + 1, dtype=np.int64)
     cur = np.zeros(yd.size + 1, dtype=np.int64)
     best, bi, bj = 0, 0, 0
     for i in range(xd.size - 1, -1, -1):
-        np.add(prev[1:], 1, out=cur[:-1])
+        np.add(prev[1:], wx[i], out=cur[:-1])
         np.multiply(cur[:-1], yd == xd[i], out=cur[:-1])
         rm = int(cur.max())
         if rm > 0 and rm >= best:
@@ -69,7 +70,18 @@ def lcs_oracle(x: SymbolSeq, y: SymbolSeq) -> MatchResult:
             bi = i
             bj = int(np.argmax(cur == rm))
         prev, cur = cur, prev
-    return MatchResult(best, (bi, bj, best) if best else (0, 0, 0))
+    if best == 0:
+        return MatchResult(0, (0, 0, 0))
+    m = min(xd.size - bi, yd.size - bj)
+    same = xd[bi:bi + m] == yd[bj:bj + m]
+    k = m if same.all() else int(np.argmin(same))
+    return MatchResult(best, (bi, bj, k))
+
+
+def lcs_oracle(x: SymbolSeq, y: SymbolSeq) -> MatchResult:
+    """Exact longest common substring: the match-table DP with unit weights."""
+    _check_pair(x, y)
+    return _best_run(x.data, y.data, [1] * x.length)
 
 
 def _check_schedule(schedule, limit: int) -> list[int]:
@@ -213,33 +225,12 @@ def _weight_vector(weights, alphabet_size: int) -> np.ndarray:
 def highest_score(x: SymbolSeq, y: SymbolSeq, n: int, weights) -> MatchResult:
     """Maximum summed weight over common substrings of the length-n prefixes.
 
-    Weighted analogue of lcs_oracle: the table carries accumulated weight of
-    the maximal run starting at each cell (positive weights make the maximal
-    run optimal among runs starting there).
+    Runs the match-table DP of lcs_oracle with each symbol weighted.
     """
     _check_pair(x, y)
     if not 1 <= n <= min(x.length, y.length):
         raise ValueError(f"n={n} out of range for sequences of lengths "
                          f"{x.length}, {y.length}")
-    w = _weight_vector(weights, x.alphabet.size)
-    xd, yd = x.data[:n], y.data[:n]
-    prev_w = np.zeros(n + 1, dtype=np.int64)
-    prev_k = np.zeros(n + 1, dtype=np.int64)
-    cur_w = np.zeros(n + 1, dtype=np.int64)
-    cur_k = np.zeros(n + 1, dtype=np.int64)
-    best, bi, bj, bk = 0, 0, 0, 0
-    for i in range(n - 1, -1, -1):
-        eq = yd == xd[i]
-        np.add(prev_w[1:], w[xd[i]], out=cur_w[:-1])
-        np.multiply(cur_w[:-1], eq, out=cur_w[:-1])
-        np.add(prev_k[1:], 1, out=cur_k[:-1])
-        np.multiply(cur_k[:-1], eq, out=cur_k[:-1])
-        rm = int(cur_w.max())
-        if rm > 0 and rm >= best:
-            best = rm
-            bi = i
-            bj = int(np.argmax(cur_w == rm))
-            bk = int(cur_k[bj])
-        prev_w, cur_w = cur_w, prev_w
-        prev_k, cur_k = cur_k, prev_k
-    return MatchResult(best, (bi, bj, bk) if best else (0, 0, 0))
+    xd = x.data[:n]
+    wx = _weight_vector(weights, x.alphabet.size)[xd].tolist()
+    return _best_run(xd, y.data[:n], wx)

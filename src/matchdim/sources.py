@@ -33,10 +33,6 @@ class Alphabet:
             raise ValueError(f"alphabet size must be >= 1, got {self.size}")
 
 
-# Symbols above 9 map into letters so dumps stay single-character per symbol.
-_DUMP_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
 @dataclass(frozen=True)
 class SymbolSeq:
     """Immutable finite realization over an alphabet."""
@@ -66,12 +62,6 @@ class SymbolSeq:
             raise ValueError(f"prefix length {n} exceeds sequence length {self.length}")
         return SymbolSeq(self.alphabet, self.data[:n])
 
-    def to_text(self) -> str:
-        """Newline-free single-character-per-symbol dump (alphabets up to 36)."""
-        if self.alphabet.size > len(_DUMP_CHARS):
-            raise ValueError("text dump supports alphabets up to size 36")
-        return "".join(_DUMP_CHARS[s] for s in self.data)
-
     @classmethod
     def from_symbols(cls, symbols, alphabet_size: int | None = None) -> "SymbolSeq":
         arr = np.asarray(list(symbols), dtype=np.int64)
@@ -88,6 +78,16 @@ def _check_probability_vector(p: np.ndarray, what: str) -> np.ndarray:
     if abs(p.sum() - 1.0) > PROB_ATOL:
         raise ValueError(f"{what} must sum to 1 within {PROB_ATOL}, got {p.sum()!r}")
     return p
+
+
+def _check_stochastic(P) -> np.ndarray:
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
+        raise ValueError("transition matrix must be square and nonempty")
+    # written so that NaN entries fail too
+    if not (P.min() >= 0 and np.max(np.abs(P.sum(axis=1) - 1.0)) <= PROB_ATOL):
+        raise ValueError(f"transition matrix must be row-stochastic within {PROB_ATOL}")
+    return P
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,7 @@ class MarkovSource:
     initial: np.ndarray
 
     def __post_init__(self):
-        P = np.asarray(self.transition, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
-            raise ValueError("transition must be a nonempty square matrix")
-        if P.min() < 0:
-            raise ValueError("transition has negative entries")
-        rowsums = P.sum(axis=1)
-        if np.max(np.abs(rowsums - 1.0)) > PROB_ATOL:
-            raise ValueError(f"transition rows must sum to 1 within {PROB_ATOL}")
+        P = _check_stochastic(self.transition)
         pi = _check_probability_vector(self.initial, "initial").view()
         if pi.size != P.shape[0]:
             raise ValueError("initial distribution size does not match transition")
@@ -182,23 +175,6 @@ def sample(source: IIDSource | MarkovSource, n: int, seed: int) -> SymbolSeq:
 def _check_block_len(seq: SymbolSeq, k: int) -> None:
     if not 1 <= k <= seq.length:
         raise ValueError(f"block length k={k} out of range [1, {seq.length}]")
-
-
-def block_codes(seq: SymbolSeq, k: int) -> np.ndarray:
-    """Integer code of every overlapping length-k window (base = alphabet size).
-
-    Requires the codes to fit in int64; guaranteed for k*log2(size) <= 62.
-    """
-    _check_block_len(seq, k)
-    size = seq.alphabet.size
-    if k * np.log2(max(size, 2)) > 62:
-        raise ValueError("block codes would overflow int64; use WindowClasses")
-    m = seq.length - k + 1
-    codes = np.zeros(m, dtype=np.int64)
-    for t in range(k):
-        codes *= size
-        codes += seq.data[t:t + m]
-    return codes
 
 
 def block_counts(seq: SymbolSeq, k: int) -> dict[bytes, int]:
@@ -298,12 +274,7 @@ def stationary_distribution(P, tol: float = 1e-12, max_iter: int = 10 ** 6) -> n
     Raises ArithmeticError when the iteration fails to reach `tol` within
     `max_iter` steps (e.g. periodic or reducible chains).
     """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("P must be square")
-    rowsums = P.sum(axis=1)
-    if P.min() < 0 or np.max(np.abs(rowsums - 1.0)) > PROB_ATOL:
-        raise ValueError("P must be row-stochastic")
+    P = _check_stochastic(P)
     d = P.shape[0]
     mu = np.full(d, 1.0 / d)
     for _ in range(max_iter):

@@ -90,6 +90,24 @@ class TestStrictSpecs:
         with pytest.raises(ValueError, match=r"unrecognized encoder keys: \['shared'\]"):
             harness._encoder_for_trial(plan, 0, 1)
 
+    def test_closed_form_reads_the_encoder_through_the_same_parser(self):
+        plan = small_plan(encoder={"kind": "zero_inflation", "epsilon": 0.3,
+                                   "shared": False})
+        with pytest.raises(ValueError, match=r"unrecognized encoder keys: \['shared'\]"):
+            theoretical_slope_limit(plan)
+
+    def test_crosscheck_reads_the_encoder_through_the_same_parser(self):
+        plan = small_plan(kind="scrabble_law", trials=2,
+                          encoder={"kind": "stretch", "weights": [1, 2], "weight": 3})
+        with pytest.raises(ValueError, match=r"unrecognized encoder keys: \['weight'\]"):
+            scrabble_crosscheck(plan, n_raw=64)
+
+    def test_nested_keys_rejected_when_the_plan_is_made(self):
+        cfg = {"experiment": "random_orbit_law", "schedule": [64, 128, 256],
+               "system": {"kind": "perturbed_times_m", "epsillon": 0.5}}
+        with pytest.raises(ValueError, match=r"unrecognized system keys: \['epsillon'\]"):
+            plan_from_config(cfg)
+
     def test_iid_source_keys(self):
         with pytest.raises(ValueError, match=r"unrecognized source keys: \['initial'\]"):
             harness._build_source({"kind": "iid", "probs": [0.5, 0.5],
@@ -306,6 +324,17 @@ class TestCli:
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = self._write_config(tmp_path)
         assert cli.main(["orbit-law", "--config", str(cfg)]) == 2
+
+    def test_nested_config_error_exits_two_without_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "experiment": "random_orbit_law", "seed": 1, "trials": 1,
+            "schedule": [64, 128, 256],
+            "system": {"kind": "perturbed_times_m", "epsillon": 0.5}}))
+        assert cli.main(["random-orbit-law", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "epsillon" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["", "# comments only\n", "- lcs_law\n- 4\n", "lcs_law\n"])
     def test_empty_or_non_mapping_config_rejected(self, tmp_path, capsys, text):

@@ -260,6 +260,49 @@ class TestHighestScore:
             assert r.length == highest_score(y, x, 20, (1, 3)).length
 
 
+def brute_best_run(xd, yd, wx):
+    """Heaviest maximal common run by enumerating every start pair."""
+    best, where = 0, (0, 0, 0)
+    for i in range(len(xd)):
+        for j in range(len(yd)):
+            k = 0
+            while i + k < len(xd) and j + k < len(yd) and xd[i + k] == yd[j + k]:
+                k += 1
+            score = int(sum(wx[i:i + k]))
+            if score > best:  # strict: the first maximum in (i, j) order stays
+                best, where = score, (i, j, k)
+    return best, where
+
+
+class TestMatchTableWitness:
+    """lcs_oracle and highest_score share one DP; check its witness directly."""
+
+    @staticmethod
+    def assert_witness(r, xd, yd, wx):
+        i, j, k = r.witness
+        assert np.array_equal(xd[i:i + k], yd[j:j + k])
+        assert int(sum(wx[i:i + k])) == r.length
+        assert i + k == len(xd) or j + k == len(yd) or xd[i + k] != yd[j + k]
+        assert (r.length, r.witness) == brute_best_run(xd, yd, wx)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_highest_score(self, seed):
+        x, y = random_pair(seed, max_len=60, max_size=3)
+        rng = np.random.default_rng(seed)
+        w = rng.integers(1, 5, x.alphabet.size)
+        n = int(rng.integers(1, min(x.length, y.length) + 1))
+        r = highest_score(x, y, n, tuple(w.tolist()))
+        xd, yd = x.data[:n], y.data[:n]
+        self.assert_witness(r, xd, yd, w[xd])
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_lcs_oracle_unequal_lengths(self, seed):
+        x, y = random_pair(seed, max_len=60, max_size=3)
+        self.assert_witness(lcs_oracle(x, y), x.data, y.data, np.ones(x.length))
+
+
 class TestStretchScoreConsistency:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
