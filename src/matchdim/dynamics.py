@@ -17,16 +17,24 @@ Bernoulli choices between two maps, or by i.i.d. additive noise drawn
 uniformly from (-epsilon, epsilon).
 
 Every front end (`iterate`, `lebesgue_orbit`, `iterate_random`) compiles its
-system to plain integers and runs one integer loop, `_orbit`. Each fiber map
-becomes (a, b, c, d, bits), the matrix [[a, b], [c, d]] (a times map is
-[[m, 0], [0, 0]]) and the precision it spends per step. The driver becomes
-a per-step map-index stream and a noise stream, both drawn up front exactly
-as the drivers define them: Bernoulli choices and noise offsets from the
-trial's NumPy stream, selector indices from a fixed-point run of the
-piecewise-linear driver. The loop keeps its state in local integers, reduces
-mod 1 with a bit mask, inlines the refresh, and yields the top 53 bits of
-each coordinate, which NumPy collects and scales once. It therefore returns
-bitwise the points of a per-step fixed-point iteration.
+system to plain integers and runs it by one of two routes that give the
+same bits. Each fiber map becomes (a, b, c, d, bits), the matrix
+[[a, b], [c, d]] (a times map is [[m, 0], [0, 0]]) and the precision it
+spends per step. The driver becomes a per-step map-index stream and a noise
+stream, both drawn up front exactly as the drivers define them: Bernoulli
+choices and noise offsets from the trial's NumPy stream, selector indices
+from a fixed-point run of the piecewise-linear driver.
+
+- Shift register (`_shift_register`): when the only fiber map is
+  TimesMap(2^b), b < 62, NumPy computes the top 62 bits of every point from
+  a linear recurrence mod 2^62, with no per-step loop. It serves `iterate`,
+  `lebesgue_orbit` and the additive-noise driver on such a map.
+- Integer loop (`_orbit`), for every other system (m not a power of two,
+  toral maps, the selector drivers): it keeps its state in local integers,
+  reduces mod 1 with a bit mask, inlines the refresh, and yields the top 53
+  bits of each coordinate, which NumPy collects and scales once.
+
+Both return bitwise the points of a per-step fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ _REFRESH_FLOOR = 160
 _OUT_SHIFT = FRACTION_BITS - 53
 _OUT_SCALE = 2.0 ** -53
 _NOISE_SHIFT = FRACTION_BITS - 62  # noise keeps 62 bits, far past the 53 emitted
+_WINDOW_BITS = FRACTION_BITS - _NOISE_SHIFT
+_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 _BLOCK = 4096
 
 TORUS = "torus"
@@ -256,13 +266,81 @@ def _theta_states(w: int, refresher):
             precision = FRACTION_BITS
 
 
+def _shift_bits(maps) -> int:
+    """b when the only fiber map is TimesMap(2^b) with b < 62, else 0."""
+    if len(maps) == 1 and isinstance(maps[0], TimesMap):
+        m = maps[0].m
+        if m & (m - 1) == 0 and m < 1 << _WINDOW_BITS:
+            return m.bit_length() - 1
+    return 0
+
+
+def _bits_of(value: int, width: int) -> np.ndarray:
+    """The low `width` bits of value, most significant first, one uint8 each."""
+    size = (width + 7) // 8
+    low = value & ((1 << width) - 1)
+    bits = np.unpackbits(np.frombuffer(low.to_bytes(size, "big"), dtype=np.uint8))
+    return bits[8 * size - width:]
+
+
+def _shift_register(b: int, x: int, refresher, n: int, noise=None) -> np.ndarray:
+    """x_k >> _OUT_SHIFT for k < n under x -> 2^b x + noise * 2^-62 mod 1.
+
+    It returns exactly what _orbit yields for the fiber TimesMap(2^b), with
+    no per-step loop. The noise only reaches bits from _NOISE_SHIFT up, and
+    carries only move up, so the bits below _NOISE_SHIFT are a shift
+    register: they hold x's low bits, then each refresh's bits (zeros
+    without a refresher), and every step moves the next b of them, c_k,
+    into the 62-bit window W = x >> _NOISE_SHIFT. Hence
+    W_{k+1} = 2^b W_k + c_k + e_k mod 2^62. Unrolled,
+    W_k = sum_j 2^(b j) v_{k-j} with v = [W_0, c_0 + e_0, c_1 + e_1, ...],
+    and every term with b j >= 62 vanishes, so a few doubling passes of
+    shifted adds in wrapping uint64 give each W_k; W_k >> 9 is the output.
+    The refresher is called with the sizes and in the order _orbit uses.
+    """
+    steps = n - 1
+    chunks = [_bits_of(x, _NOISE_SHIFT)]
+    if refresher is None:
+        chunks.append(np.zeros(max(0, steps * b - _NOISE_SHIFT), dtype=np.uint8))
+    else:
+        period = (FRACTION_BITS - _REFRESH_FLOOR) // b + 1  # steps per refresh
+        stale = period * b
+        chunks += [_bits_of(refresher.getrandbits(stale), stale)
+                   for _ in range(steps // period)]
+    bits = np.concatenate(chunks)[:steps * b].reshape(steps, b)
+    window = np.empty(n, dtype=np.uint64)
+    window[0] = x >> _NOISE_SHIFT
+    digits = window[1:]
+    digits[:] = bits[:, 0]
+    for column in bits.T[1:]:
+        digits <<= np.uint64(1)
+        digits |= column
+    if noise is not None:
+        # the residue mod 2^62 of each offset, int64 or Python int alike
+        digits += (noise & _WINDOW_MASK).astype(np.uint64)
+    span = 1
+    while span * b < _WINDOW_BITS:
+        window[span:] += window[:-span] << np.uint64(span * b)
+        span *= 2
+    return (window & np.uint64(_WINDOW_MASK)) >> np.uint64(_OUT_SHIFT - _NOISE_SHIFT)
+
+
 def _run(maps, coords: list[int], refresher, n: int, index=None, noise=None) -> Orbit:
-    """n points from coords; index and noise (fixed point) default to zeros."""
-    zeros = np.zeros(n - 1, dtype=np.int64)
-    stream = _orbit(_fibers(maps, refresher is not None), coords, refresher,
-                    zeros if index is None else index, zeros if noise is None else noise)
+    """n points from coords; index and noise (fixed point) default to zeros.
+
+    A lone TimesMap(2^b) runs as a shift register, every other system
+    through the integer loop; both give the same bits.
+    """
     dim = len(coords)
-    out = np.fromiter(stream, dtype=np.int64, count=n * dim)
+    b = _shift_bits(maps)
+    if b:
+        out = _shift_register(b, coords[0], refresher, n, noise)
+    else:
+        zeros = np.zeros(n - 1, dtype=np.int64)
+        stream = _orbit(_fibers(maps, refresher is not None), coords, refresher,
+                        zeros if index is None else index,
+                        zeros if noise is None else noise)
+        out = np.fromiter(stream, dtype=np.int64, count=n * dim)
     return Orbit(out.reshape(n, dim) * _OUT_SCALE, TORUS)
 
 

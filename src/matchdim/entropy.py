@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import (SymbolSeq, collision_sum, window_counts,
+from .sources import (SymbolSeq, collision_sum, symbol_weights, window_counts,
                       _check_probability_vector, _check_stochastic)
 
 EIGEN_ROOT_ATOL = 1e-9
@@ -126,15 +126,6 @@ def renyi2_zero_inflated(probs, epsilon: float) -> float:
     return (1.0 - epsilon) * renyi2_iid(probs)
 
 
-def _symbol_weights(weights, d: int) -> list[int]:
-    """One positive integer weight per symbol, from a sequence or a dict."""
-    w = [int(v) for v in (weights if not isinstance(weights, dict)
-                          else [weights[s] for s in range(d)])]
-    if len(w) != d or any(v < 1 for v in w):
-        raise ValueError("weights must give a positive integer per symbol")
-    return w
-
-
 def build_qstar(P, weights) -> np.ndarray:
     """Transition matrix of the weight-stretched chain.
 
@@ -145,7 +136,7 @@ def build_qstar(P, weights) -> np.ndarray:
     """
     P = _check_stochastic(P)
     d = P.shape[0]
-    w = _symbol_weights(weights, d)
+    w = symbol_weights(weights, d)
     offsets = np.concatenate([[0], np.cumsum(w)])
     total = int(offsets[-1])
     Q = np.zeros((total, total))
@@ -207,7 +198,7 @@ def renyi2_scrabble(P, weights) -> ScrabbleSpectrum:
     P = _check_stochastic(P)
     if not _is_irreducible(P):
         raise ValueError("transition matrix must be irreducible")
-    w = _symbol_weights(weights, P.shape[0])
+    w = symbol_weights(weights, P.shape[0])
     if (math.gcd(*w) if len(w) > 1 else w[0]) != 1:
         warnings.warn("weight gcd != 1: stretched chain may be periodic",
                       RuntimeWarning, stacklevel=2)

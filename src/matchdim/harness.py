@@ -111,20 +111,29 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
     kind = cfg.pop("experiment")
     sched_cfg = cfg.pop("schedule")
     if isinstance(sched_cfg, dict):
-        schedule = tuple(2 ** p for p in range(int(sched_cfg["start_pow2"]),
-                                               int(sched_cfg["stop_pow2"]) + 1))
+        bounds = dict(sched_cfg)
+        start = _integer(bounds.pop("start_pow2"), "schedule start_pow2")
+        stop = _integer(bounds.pop("stop_pow2"), "schedule stop_pow2")
+        _no_leftovers(bounds, "schedule")
+        schedule = tuple(2 ** p for p in range(start, stop + 1))
+    elif isinstance(sched_cfg, (list, tuple)):
+        schedule = tuple(_integer(n, "schedule entry") for n in sched_cfg)
     else:
-        schedule = tuple(int(n) for n in sched_cfg)
+        raise ValueError("schedule must be a list of sizes or a start_pow2/stop_pow2 "
+                         f"mapping, got {type(sched_cfg).__name__}")
+    for name in ("source", "encoder", "system", "observation"):
+        if not isinstance(cfg.get(name), (dict, type(None))):
+            raise ValueError(f"{name} must be a mapping, got {type(cfg[name]).__name__}")
     plan = ExperimentPlan(
         kind=kind,
         schedule=schedule,
-        trials=int(cfg.pop("trials", 1)),
-        master_seed=int(cfg.pop("seed", 0)),
+        trials=_integer(cfg.pop("trials", 1), "trials"),
+        master_seed=_integer(cfg.pop("seed", 0), "seed"),
         source=cfg.pop("source", None),
         encoder=cfg.pop("encoder", None),
         system=cfg.pop("system", None),
         observation=cfg.pop("observation", None),
-        sample_length=int(cfg.pop("sample_length", 1_000_000)),
+        sample_length=_integer(cfg.pop("sample_length", 1_000_000), "sample_length"),
         theory=cfg.pop("theory", "auto"),
         tolerance_frac=cfg.pop("tolerance_frac", None),
         tolerance_abs=cfg.pop("tolerance_abs", None),
@@ -132,13 +141,23 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         label=cfg.pop("label", ""),
     )
     _no_leftovers(cfg, "config")
-    # build each nested spec once, so a bad key fails here, not in a trial
-    for build, spec in ((_build_source, plan.source), (_build_system, plan.system),
-                        (_build_observation, plan.observation)):
-        if spec is not None:
-            build(spec)
-    _encoder_for_trial(plan, 0, 0)
+    # build each nested spec once, so a bad key or value fails here, not in a trial
+    try:
+        for build, spec in ((_build_source, plan.source), (_build_system, plan.system),
+                            (_build_observation, plan.observation)):
+            if spec is not None:
+                build(spec)
+        _encoder_for_trial(plan, 0, 0)
+    except TypeError as e:  # a value of the wrong type, such as m: [2]
+        raise ValueError(f"bad value in a nested spec: {e}") from None
     return plan
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {type(value).__name__}") from None
 
 
 def _no_leftovers(spec: dict, what: str) -> None:
@@ -545,6 +564,23 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
         worst = max(worst, float(np.max(np.abs(mu @ P - mu))))
     checks.append(("stationary distributions are fixed points",
                    worst < 1e-10, f"max residual {worst:.2e}"))
+
+    # TimesMap(2) refreshes every 865 steps, so 2000 points pass two refreshes
+    n = 2000
+    mismatches = 0
+    for m in (2, 4, 8):
+        fibers = dynamics._fibers((dynamics.TimesMap(m),), True)
+        for eps in (0.0, 1e-3):
+            noise = (rng.uniform(-eps, eps, n - 1) * 2.0 ** 62).astype(np.int64)
+            (x,), refresher = dynamics._start(None, 1, seed, m)
+            register = dynamics._shift_register(m.bit_length() - 1, x, refresher, n, noise)
+            coords, refresher = dynamics._start(None, 1, seed, m)
+            loop = np.fromiter(dynamics._orbit(fibers, coords, refresher,
+                                               np.zeros(n - 1, dtype=np.int64), noise),
+                               dtype=np.int64, count=n)
+            mismatches += not np.array_equal(register, loop)
+    checks.append(("orbit shift-register/integer-loop equivalence (m = 2, 4, 8)",
+                   mismatches == 0, f"{mismatches} mismatches"))
 
     return SelfTestReport(checks)
 

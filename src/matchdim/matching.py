@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sources import SymbolSeq, WindowClasses
+from .sources import SymbolSeq, WindowClasses, symbol_weights
 
 
 @dataclass(frozen=True)
@@ -207,21 +207,6 @@ def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask_x, mask_y=None,
         lambda n, k: _masked_window_match_exists(xd, yd, mask_x, mask_y, n, k), ns)
 
 
-def _weight_vector(weights, alphabet_size: int) -> np.ndarray:
-    if isinstance(weights, dict):
-        try:
-            w = [int(weights[s]) for s in range(alphabet_size)]
-        except KeyError as e:
-            raise ValueError(f"missing weight for symbol {e.args[0]}") from None
-    else:
-        w = [int(v) for v in weights]
-        if len(w) < alphabet_size:
-            raise ValueError("missing weight: weight vector shorter than alphabet")
-    if any(v < 1 for v in w):
-        raise ValueError("weights must be positive integers")
-    return np.asarray(w, dtype=np.int64)
-
-
 def highest_score(x: SymbolSeq, y: SymbolSeq, n: int, weights) -> MatchResult:
     """Maximum summed weight over common substrings of the length-n prefixes.
 
@@ -232,5 +217,5 @@ def highest_score(x: SymbolSeq, y: SymbolSeq, n: int, weights) -> MatchResult:
         raise ValueError(f"n={n} out of range for sequences of lengths "
                          f"{x.length}, {y.length}")
     xd = x.data[:n]
-    wx = _weight_vector(weights, x.alphabet.size)[xd].tolist()
+    wx = np.asarray(symbol_weights(weights, x.alphabet.size))[xd].tolist()
     return _best_run(xd, y.data[:n], wx)

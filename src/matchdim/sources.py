@@ -1,7 +1,8 @@
 """Finite-alphabet sequences, block counting, and i.i.d./Markov samplers.
 
 This module provides:
-- Immutable symbol sequences over a finite alphabet (symbols 0..size-1).
+- Immutable symbol sequences over a finite alphabet (symbols 0..size-1), and
+  the one rule for per-symbol weights: one positive integer per symbol.
 - Samplers for i.i.d. and Markov sources, deterministic in (source, n, seed),
   using one inverse-CDF uniform per emitted symbol.
 - Overlapping window (block) counts and the empirical collision probability
@@ -31,6 +32,27 @@ class Alphabet:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"alphabet size must be >= 1, got {self.size}")
+
+
+def symbol_weights(weights, size: int) -> list[int]:
+    """Exactly one positive integer weight per symbol of a size-symbol alphabet.
+
+    `weights` is a sequence indexed by symbol or a dict keyed by symbol.
+    """
+    count = len(weights)
+    if isinstance(weights, dict):
+        missing = [s for s in range(size) if s not in weights]
+        if missing:
+            raise ValueError(f"missing weight for symbol {missing[0]}")
+        weights = [weights[s] for s in range(size)]
+    elif count < size:
+        raise ValueError("missing weight: weight vector shorter than alphabet")
+    if count > size:
+        raise ValueError(f"{count} weights for an alphabet of {size} symbols")
+    w = [int(v) for v in weights]
+    if any(v < 1 for v in w):
+        raise ValueError("weights must be positive integers")
+    return w
 
 
 @dataclass(frozen=True)

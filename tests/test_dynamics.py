@@ -10,6 +10,7 @@ from matchdim import (BernoulliDriver, Collapse, CoordinateProjection,
                       UniformBallDriver, default_toral_pair, iterate,
                       iterate_random, lebesgue_orbit, observe, theta_driver,
                       torus_distance)
+from matchdim import dynamics
 from matchdim.dynamics import _BLOCK
 from matchdim.seeding import spawn_seed
 
@@ -293,15 +294,19 @@ def _reference_map(map_spec, x0, n, seed=None):
     return np.array(points)
 
 
-# n - 1 steps at one block minus one, one block and one block plus one; every
-# size passes several refreshes
-_SIZES = [_BLOCK, _BLOCK + 1, _BLOCK + 2]
+# The first points; the 62-bit window of the shift-register route filled
+# from the low bits; its first refresh, which TimesMap(4) makes at step 433
+# and TimesMap(2) at step 865; and n - 1 steps at one block of the integer
+# loop minus one, one block and one block plus one, sizes that pass several
+# refreshes.
+_SIZES = [1, 2, 63, 64, 433, 434, 865, 866, _BLOCK, _BLOCK + 1, _BLOCK + 2]
 _TORAL = ToralAutomorphism(((2, 1), (1, 1)))
 _SYSTEMS = {
     "theta": SkewSystem(ThetaDriver(), (TimesMap(2), TimesMap(3))),
     "bernoulli_toral": SkewSystem(BernoulliDriver(0.5), default_toral_pair()),
     "noise_0": SkewSystem(UniformBallDriver(0.0), (TimesMap(2),)),
     "noise_1e-3": SkewSystem(UniformBallDriver(1e-3), (TimesMap(2),)),
+    "noise_1e-3_times4": SkewSystem(UniformBallDriver(1e-3), (TimesMap(4),)),
     # offsets past 2 in magnitude overflow int64 once scaled by 2^62
     "noise_3": SkewSystem(UniformBallDriver(3.0), (TimesMap(2),)),
 }
@@ -309,8 +314,9 @@ _SYSTEMS = {
 
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("n", _SIZES)
-    @pytest.mark.parametrize("map_spec", [TimesMap(2), TimesMap(3), _TORAL],
-                             ids=["times2", "times3", "toral"])
+    @pytest.mark.parametrize("map_spec",
+                             [TimesMap(2), TimesMap(3), TimesMap(4), TimesMap(8), _TORAL],
+                             ids=["times2", "times3", "times4", "times8", "toral"])
     def test_deterministic_maps(self, map_spec, n):
         x0 = 0.3 if map_spec.dim == 1 else (0.37, 0.81)
         assert np.array_equal(iterate(map_spec, x0, n).points,
@@ -329,6 +335,16 @@ class TestEngineMatchesReference:
             ref_points, ref_traj = _reference_random(system, *start, n, seed=13)
             assert np.array_equal(orbit.points, ref_points)
             assert np.array_equal(traj, ref_traj)
+
+    def test_power_of_two_maps_skip_the_integer_loop(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("integer loop used")
+
+        monkeypatch.setattr(dynamics, "_orbit", unused)
+        lebesgue_orbit(TimesMap(8), 100, 1)
+        iterate_random(_SYSTEMS["noise_3"], None, None, 100, seed=1)
+        with pytest.raises(AssertionError, match="integer loop"):
+            lebesgue_orbit(TimesMap(3), 100, 1)
 
     def test_negative_noise_wraps_a_point_near_zero(self):
         system = _SYSTEMS["noise_1e-3"]

@@ -336,6 +336,18 @@ class TestCli:
         assert err.startswith("config error: ") and "epsillon" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("override, wording", [
+        ({"schedule": 5}, "schedule must be a list"),
+        ({"source": [1, 2]}, "source must be a mapping"),
+        ({"encoder": {"kind": "stretch", "weights": [1, [2]]}}, "bad value in a nested spec"),
+    ])
+    def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
+        cfg = self._write_config(tmp_path, **override)
+        assert cli.main(["lcs-law", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and wording in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("text", ["", "# comments only\n", "- lcs_law\n- 4\n", "lcs_law\n"])
     def test_empty_or_non_mapping_config_rejected(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.yaml"

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from matchdim import (Alphabet, IIDSource, IdentityEncoder, StretchEncoder,
                       SymbolSeq, ZeroInflation, encode, highest_score, lcs_fast,
-                      lcs_oracle, sample)
+                      lcs_oracle, renyi2_scrabble, sample)
 from matchdim.matching import lcs_lengths_over_schedule, masked_window_lcs
 
 
@@ -249,6 +249,14 @@ class TestHighestScore:
     def test_missing_weight_rejected(self):
         with pytest.raises(ValueError, match="missing weight"):
             highest_score(seq([0, 1], 2), seq([1, 0], 2), 2, {0: 1})
+
+    @pytest.mark.parametrize("weights", [(1, 2, 3), {0: 1, 1: 2, 2: 3}])
+    def test_extra_weight_rejected_as_by_the_closed_form(self, weights):
+        # one weight rule for the score and the stretched-chain rate
+        with pytest.raises(ValueError, match="3 weights for an alphabet of 2"):
+            highest_score(seq([0, 1], 2), seq([1, 0], 2), 2, weights)
+        with pytest.raises(ValueError, match="3 weights for an alphabet of 2"):
+            renyi2_scrabble([[0.5, 0.5], [0.5, 0.5]], weights)
 
     def test_bound_and_symmetry(self):
         rng = np.random.default_rng(31)
