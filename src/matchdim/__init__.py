@@ -9,7 +9,7 @@ forms.
 """
 
 from .sources import (Alphabet, IIDSource, MarkovSource, SymbolSeq,
-                      block_counts, collision_probability, sample,
+                      block_counts, sample,
                       stationary_distribution)
 from .encoders import (Encoder, IdentityEncoder, InputExhausted, StretchEncoder,
                        ZeroInflation, encode)

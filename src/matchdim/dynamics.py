@@ -118,7 +118,6 @@ class TimesMap:
             raise ValueError(f"multiplier must be >= 2, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
 
-    kind = "times_m"
     dim = 1
 
     @property
@@ -144,7 +143,6 @@ class ToralAutomorphism:
             raise ValueError("matrix is not hyperbolic: eigenvalue on the unit circle")
         object.__setattr__(self, "matrix", rows)
 
-    kind = "toral_automorphism"
     dim = 2
 
     @property
@@ -362,8 +360,6 @@ def lebesgue_orbit(map_spec: MapSpec, n: int, seed: int) -> Orbit:
 class ThetaDriver:
     """Deterministic piecewise-linear driver; maps[0] below 2/5, maps[1] above."""
 
-    kind = "piecewise_linear_theta"
-
 
 @dataclass(frozen=True)
 class BernoulliDriver:
@@ -375,8 +371,6 @@ class BernoulliDriver:
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
 
-    kind = "iid_bernoulli"
-
 
 @dataclass(frozen=True)
 class UniformBallDriver:
@@ -387,8 +381,6 @@ class UniformBallDriver:
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("noise radius must be nonnegative")
-
-    kind = "iid_uniform_ball"
 
 
 DriverSpec = Union[ThetaDriver, BernoulliDriver, UniformBallDriver]
@@ -453,13 +445,12 @@ def iterate_random(system: SkewSystem, omega0, x0, n: int, seed: int
 
 @dataclass(frozen=True)
 class IdentityObservation:
-    kind = "identity"
+    """The orbit itself, unchanged."""
 
 
 @dataclass(frozen=True)
 class CoordinateProjection:
     index: int
-    kind = "coordinate_projection"
 
 
 @dataclass(frozen=True)
@@ -468,7 +459,6 @@ class LipschitzAffine:
 
     matrix: tuple[tuple[float, ...], ...]
     offset: tuple[float, ...]
-    kind = "lipschitz_affine"
 
     def __post_init__(self):
         M = tuple(tuple(float(v) for v in row) for row in self.matrix)
@@ -478,10 +468,6 @@ class LipschitzAffine:
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "offset", b)
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return max(sum(abs(v) for v in row) for row in self.matrix)
-
 
 @dataclass(frozen=True)
 class Collapse:
@@ -489,7 +475,6 @@ class Collapse:
 
     interval: tuple[float, float]
     value: float
-    kind = "collapse"
 
     def __post_init__(self):
         lo, hi = (float(self.interval[0]), float(self.interval[1]))

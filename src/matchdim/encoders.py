@@ -28,8 +28,6 @@ class InputExhausted(ValueError):
 
 @dataclass(frozen=True)
 class IdentityEncoder:
-    kind = "identity"
-
     def encode(self, seq: SymbolSeq, n_out: int) -> SymbolSeq:
         if seq.length < n_out:
             raise InputExhausted(
@@ -47,8 +45,6 @@ class ZeroInflation:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-
-    kind = "zero_inflation"
 
     def mask(self, n: int) -> np.ndarray:
         """First n mask bits (0/1), deterministic in mask_seed."""
@@ -73,8 +69,6 @@ class StretchEncoder:
         if len(w) == 0 or any(v < 1 for v in w):
             raise ValueError("weights must be positive integers for every symbol")
         object.__setattr__(self, "weights", w)
-
-    kind = "stretch"
 
     def _weight_array(self, seq: SymbolSeq) -> np.ndarray:
         if int(seq.data.max(initial=0)) >= len(self.weights):

@@ -12,9 +12,9 @@ Closed forms covered:
   det([q_ij^2] - diag(lambda^w(i))) = 0. Both are returned and must agree
   to 1e-9.
 
-Empirical estimates plug observed block frequencies into
--log(collision)/k and select a plateau block length k automatically; the
-plateau scan counts each k once, on codes extended by one symbol per step.
+Empirical estimates plug observed block frequencies into -log(collision)/k
+and select a plateau block length k automatically; the plateau scan counts
+each k once, on the window codes of `sources.anchored_window_codes`.
 
 All entropies are in nats.
 """
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import (SymbolSeq, collision_sum, symbol_weights, window_counts,
-                      _check_probability_vector, _check_stochastic)
+from .sources import (SymbolSeq, anchored_window_codes, collision_sum, symbol_weights,
+                      window_counts, _check_block_len, _check_probability_vector,
+                      _check_stochastic)
 
 EIGEN_ROOT_ATOL = 1e-9
 
@@ -239,25 +240,23 @@ def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
     collision prefactor, so k is pushed as high as the sample supports:
     blocks lengthen until the observed collision probability drops below
     min_coincidences per window (where the +1/M counting bias and sampling
-    noise take over) or the packed-code limit is hit. The reported k then
-    minimizes the step |H(k+1) - H(k)| over that range: the flattest step is
-    the best bias/noise tradeoff.
+    noise take over) or k reaches hard_cap, the least of 62 / log2(size), n/4
+    and 256 (k = 3 is always tried). The reported k then minimizes the step
+    |H(k+1) - H(k)| over that range: the flattest step is the best tradeoff.
 
-    Each k extends the (k-1)-window Horner codes by one symbol and counts them
-    once; past hard_cap (n < 12 or > 2^20 letters) `window_counts` counts, in
-    the same window order. Every row equals `renyi2_empirical(seq, k)`.
+    Each k extends the exact codes of `anchored_window_codes` (all-ones
+    mask) by one symbol and counts them once. Every row equals
+    `renyi2_empirical(seq, k)`.
     """
+    _check_block_len(seq, 2)
     size = seq.alphabet.size
     hard_cap = min(int(62 / math.log2(max(size, 2))), seq.length // 4, 256)
     windows = seq.length  # within a factor of the window count for k << n
     table: list[EntropyEstimate] = []
-    codes = seq.data
-    for k in range(2, max(hard_cap, 3) + 1):
-        if k <= hard_cap:
-            codes = codes[:-1] * size + seq.data[k - 1:]
-            est = _plug_in(np.unique(codes, return_counts=True)[1], k)
-        else:
-            est = _plug_in(window_counts(seq, k), k)
+    codes = anchored_window_codes(seq.data[None], [np.broadcast_to(True, seq.length)], size)
+    next(codes)  # the 1-windows
+    for k, (c,) in zip(range(2, max(hard_cap, 3) + 1), codes):
+        est = _plug_in(np.unique(c, return_counts=True)[1], k)
         table.append(est)
         if est.collision * windows < min_coincidences:
             break

@@ -67,11 +67,25 @@ class ExperimentPlan:
         sched = tuple(int(n) for n in self.schedule)
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])) or sched[0] < 1:
             raise ValueError("schedule must be nonempty strictly increasing")
+        # an expected orbit collapse is gated on zero distances, not on a slope
+        if len(sched) < 3 and self.kind != "entropy_check" and not (
+                self.expect_collapse and self.kind.endswith("orbit_law")):
+            raise ValueError("a slope fit needs at least three schedule points")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name in ("tolerance_frac", "tolerance_abs"):
+            tol = getattr(self, name)
+            if tol is not None and not (_is_number(tol) and tol >= 0):
+                raise ValueError(f"{name} must be a nonnegative number, got {tol!r}")
+        if self.theory != "auto" and not _is_number(self.theory):
+            raise ValueError(f"theory must be 'auto' or a number, got {self.theory!r}")
         object.__setattr__(self, "schedule", sched)
         if not self.label:
             object.__setattr__(self, "label", self.kind)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -124,7 +138,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
     for name in ("source", "encoder", "system", "observation"):
         if not isinstance(cfg.get(name), (dict, type(None))):
             raise ValueError(f"{name} must be a mapping, got {type(cfg[name]).__name__}")
-    plan = ExperimentPlan(
+    fields = dict(
         kind=kind,
         schedule=schedule,
         trials=_integer(cfg.pop("trials", 1), "trials"),
@@ -140,7 +154,8 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         expect_collapse=bool(cfg.pop("expect_collapse", False)),
         label=cfg.pop("label", ""),
     )
-    _no_leftovers(cfg, "config")
+    _no_leftovers(cfg, "config")  # a misspelled key first, then the values
+    plan = ExperimentPlan(**fields)
     # build each nested spec once, so a bad key or value fails here, not in a trial
     try:
         for build, spec in ((_build_source, plan.source), (_build_system, plan.system),

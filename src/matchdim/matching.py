@@ -4,10 +4,10 @@ Two routes are provided for the longest common substring of two symbol
 sequences: a quadratic dynamic-programming oracle (`lcs_oracle`) and a fast
 path (`lcs_fast`) built on exact window classes of the concatenated pair
 (`sources.WindowClasses`). A k-window match exists when the sorted,
-side-tagged class keys of the two sequences meet; the longest k is found by
-an exponential probe then a bisection, a search that masked window matching
-shares with its own mask-anchored predicate. The fast path is the production
-route; the oracle exists to cross-check it and is kept independent of it.
+side-tagged keys of the two sequences meet (`_keys_meet`); the longest k is
+found by an exponential probe then a bisection. Masked matching scans k up
+over `sources.anchored_window_codes` with the same test. The fast path is
+the production route, cross-checked by the independent oracle.
 
 `highest_score` generalizes match length to weighted match score: every
 symbol carries a positive integer weight and a common substring scores the
@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .sources import SymbolSeq, WindowClasses, symbol_weights
+from .sources import SymbolSeq, WindowClasses, anchored_window_codes, symbol_weights
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def _longest_over_schedule(exists, ns: list[int]) -> list[int]:
 
     exists(n, k) must be monotone: true for k implies true for k - 1. The
     optimum is nondecreasing in n, so each n starts from the previous answer,
-    probes best + 1, best + 2, best + 4, ... and bisects the last gap.
+    probes best + 1, best + 2, best + 4, ... and bisects the last gap (plain LCS).
     """
     out = []
     best = 0
@@ -119,15 +118,18 @@ def _longest_over_schedule(exists, ns: list[int]) -> list[int]:
     return out
 
 
-def _classes_meet(classes: WindowClasses, k: int, nx: int, mx: int, my: int) -> bool:
-    """Whether a k-window of x[:mx] equals one of y[:my], classes being of x[:nx] ++ y."""
-    kx = classes.keys(k, 0, mx - k + 1)
-    ky = classes.keys(k, nx, nx + my - k + 1)
-    # sorted side-tagged keys: a class on both sides puts 2c (x) next to
+def _keys_meet(kx: np.ndarray, ky: np.ndarray) -> bool:
+    """Whether the key arrays share a value; keys lie in [0, 2^62)."""
+    # sorted side-tagged keys: a key on both sides puts 2c (x) next to
     # 2c+1 (y), the only neighbours that differ in the tag bit alone
     tagged = np.concatenate((kx * 2, ky * 2 + 1))
     tagged.sort()
     return bool(np.any((tagged[1:] ^ tagged[:-1]) == 1))
+
+
+def _classes_meet(classes: WindowClasses, k: int, nx: int, mx: int, my: int) -> bool:
+    """Whether a k-window of x[:mx] equals one of y[:my], classes being of x[:nx] ++ y."""
+    return _keys_meet(classes.keys(k, 0, mx - k + 1), classes.keys(k, nx, nx + my - k + 1))
 
 
 def lcs_fast(x: SymbolSeq, y: SymbolSeq, want_witness: bool = True) -> MatchResult:
@@ -166,17 +168,6 @@ def lcs_lengths_over_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]
     return _longest_over_schedule(lambda n, k: _classes_meet(classes, k, top, n, n), ns)
 
 
-def _masked_window_match_exists(xd, yd, mask_x, mask_y, n: int, k: int) -> bool:
-    if not 1 <= k <= n:
-        return k <= 0
-    keys = []
-    for data, mask in ((xd, mask_x), (yd, mask_y)):
-        w = sliding_window_view(data[:n].astype(np.uint8), k) * mask[:k].astype(np.uint8)
-        w = np.ascontiguousarray(w)
-        keys.append(w.view(np.dtype((np.void, k))).ravel())
-    return np.intersect1d(keys[0], keys[1]).size > 0
-
-
 def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask_x, mask_y=None,
                       schedule=None) -> list[int]:
     """Longest matching window pair with the mask re-anchored to window starts.
@@ -191,20 +182,25 @@ def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask_x, mask_y=None,
     unrelated positions instead and decays at a different rate.
 
     Returns the optimal length for each n in `schedule` (default: the full
-    common length). Alphabets up to 256 symbols.
+    common length), any alphabet, masks 0/1: one scan over the codes of
+    `anchored_window_codes` raises k while the length-n prefixes match.
     """
     _check_pair(x, y)
-    if x.alphabet.size > 256:
-        raise ValueError("masked matching supports alphabets up to 256 symbols")
-    mask_x = np.asarray(mask_x, dtype=np.int64)
-    mask_y = mask_x if mask_y is None else np.asarray(mask_y, dtype=np.int64)
+    mask_y = mask_x if mask_y is None else mask_y
     limit = min(x.length, y.length)
     ns = _check_schedule([limit] if schedule is None else schedule, limit)
-    if mask_x.size < ns[-1] or mask_y.size < ns[-1]:
+    if len(mask_x) < ns[-1] or len(mask_y) < ns[-1]:
         raise ValueError("masks must cover the largest scheduled n")
-    xd, yd = x.data, y.data
-    return _longest_over_schedule(
-        lambda n, k: _masked_window_match_exists(xd, yd, mask_x, mask_y, n, k), ns)
+    codes = anchored_window_codes((x.data[:ns[-1]], y.data[:ns[-1]]), (mask_x, mask_y),
+                                  x.alphabet.size)
+    (cx, cy), k, out = next(codes), 1, []
+    for n in ns:
+        # the length-n prefixes hold n - k + 1 k-windows; k - 1 already matches
+        while k <= n and _keys_meet(cx[:n - k + 1], cy[:n - k + 1]):
+            k += 1
+            cx, cy = next(codes, (cx, cy))  # runs out only once k passes ns[-1]
+        out.append(k - 1)
+    return out
 
 
 def highest_score(x: SymbolSeq, y: SymbolSeq, n: int, weights) -> MatchResult:

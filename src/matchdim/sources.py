@@ -5,11 +5,12 @@ This module provides:
   the one rule for per-symbol weights: one positive integer per symbol.
 - Samplers for i.i.d. and Markov sources, deterministic in (source, n, seed),
   using one inverse-CDF uniform per emitted symbol.
-- Overlapping window (block) counts and the empirical collision probability
-  sum_B (N_B / M)^2 over observed length-k blocks, the plug-in ingredient of
-  the order-2 entropy rate.
+- Overlapping window (block) counts and the collision sum sum_B (N_B / M)^2
+  over observed length-k blocks, the plug-in ingredient of the order-2 rate.
 - Exact window classes of any length by prefix doubling (`WindowClasses`),
   shared by window counts and the substring matcher.
+- Exact mask-anchored window codes for k = 1, 2, ... (`anchored_window_codes`),
+  shared by the masked matcher and the entropy plateau.
 - Stationary distributions of finite chains via power iteration.
 """
 
@@ -270,6 +271,31 @@ class WindowClasses:
         return ids[start:stop] * base + ids[start + rest:stop + rest]
 
 
+def anchored_window_codes(rows, masks, size: int):
+    """Exact codes of the mask-anchored windows of equal-length rows, k = 1, 2, ...
+
+    rows is a 2-d array of symbols in [0, size), masks[r] the 0/1 mask of row
+    r. Entry (r, i) of the k-th yield codes the k-window of row r at i, its
+    position t holding masks[r][t] * symbol (a spaced seed). Codes are equal
+    exactly when the masked windows are, across rows, and follow their
+    lexicographic order; one Horner step per k, re-ranked jointly before 2^62.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if size >= 2 ** 31:  # rank the symbols, 0 among them: a masked position is 0
+        ranks = np.unique(np.append(0, rows), return_inverse=True)[1]
+        rows, size = ranks[1:].reshape(rows.shape), int(ranks.max()) + 1
+    codes, bound = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.int64), 1
+    for k in range(1, rows.shape[1] + 1):
+        if bound * size > 2 ** 62:  # every code is below bound
+            ranks = np.unique(codes, return_inverse=True)[1]
+            codes, bound = ranks.reshape(codes.shape), int(ranks.max()) + 1
+        codes = codes[:, :-1] * size
+        for r in np.flatnonzero([m[k - 1] for m in masks]):
+            codes[r] += rows[r, k - 1:]
+        bound *= size
+        yield codes
+
+
 def window_counts(seq: SymbolSeq, k: int) -> np.ndarray:
     """Occurrence counts of the distinct overlapping length-k windows.
 
@@ -283,11 +309,6 @@ def window_counts(seq: SymbolSeq, k: int) -> np.ndarray:
 def collision_sum(counts: np.ndarray) -> float:
     """sum_B (N_B/M)^2 over window counts N_B with total M."""
     return float(np.sum((counts / float(counts.sum())) ** 2))
-
-
-def collision_probability(seq: SymbolSeq, k: int) -> float:
-    """Empirical collision probability sum over observed blocks of (N_B/M)^2."""
-    return collision_sum(window_counts(seq, k))
 
 
 def stationary_distribution(P, tol: float = 1e-12, max_iter: int = 10 ** 6) -> np.ndarray:

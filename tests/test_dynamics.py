@@ -184,7 +184,6 @@ class TestObservations:
         out = observe(LipschitzAffine(((2.0,),), (1.0,)), orb)
         assert out.space == "cube"
         assert out.points.ravel() == pytest.approx([2.0, 1.5])
-        assert LipschitzAffine(((2.0,),), (1.0,)).lipschitz_constant == 2.0
 
 
 class TestTorusDistance:

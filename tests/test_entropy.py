@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from matchdim import (IIDSource, MarkovSource, SymbolSeq, block_counts, build_qstar,
-                      dominant_eigenvalue, empirical_plateau, renyi2_empirical,
+from matchdim import (Alphabet, IIDSource, MarkovSource, SymbolSeq, block_counts,
+                      build_qstar, dominant_eigenvalue, empirical_plateau, renyi2_empirical,
                       renyi2_iid, renyi2_markov, renyi2_scrabble,
                       renyi2_zero_inflated, sample)
 
@@ -205,7 +205,7 @@ class TestEmpirical:
 
     @pytest.mark.filterwarnings("ignore:sequence length:RuntimeWarning")
     @pytest.mark.parametrize("case", ["iid2", "markov2", "markov3", "iid10",
-                                      "dirac", "const1", "const2"])
+                                      "dirac", "const1", "const2", "huge"])
     @pytest.mark.parametrize("n", [5, 12, 40, 1000, 20_000])
     def test_plateau_rows_equal_the_from_scratch_oracle(self, case, n):
         P = np.array([[0.9, 0.1], [0.3, 0.7]])
@@ -216,13 +216,18 @@ class TestEmpirical:
                "iid10": lambda: sample(IIDSource(np.full(10, 0.1)), n, 6),
                "dirac": lambda: sample(MarkovSource(P, np.array([0.0, 1.0])), n, 7),
                "const1": lambda: SymbolSeq.from_symbols([0] * n, 1),
-               "const2": lambda: SymbolSeq.from_symbols([1] * n, 2)}[case]()
+               "const2": lambda: SymbolSeq.from_symbols([1] * n, 2),
+               # symbols past 2^31 are ranked before their codes are packed
+               "huge": lambda: SymbolSeq(Alphabet(2 ** 40), np.random.default_rng(8).choice(
+                   [0, 2 ** 31 + 7, 2 ** 40 - 1], n))}[case]()
         plateau, table = empirical_plateau(seq)
         assert [est.k for est in table] == list(range(2, len(table) + 2))
         assert plateau in table
         for est in table:
             assert est == renyi2_empirical(seq, est.k)
-            assert est.distinct_blocks == len(block_counts(seq, est.k))
+            blocks = (block_counts(seq, est.k) if seq.alphabet.size <= 256 else
+                      {tuple(seq.data[i:i + est.k]) for i in range(n - est.k + 1)})
+            assert est.distinct_blocks == len(blocks)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_plateau_rejects_sequences_shorter_than_two(self, n):

@@ -230,8 +230,12 @@ def _csv_digest(name: str, **overrides):
     return hashlib.sha256(result.to_csv().encode()).hexdigest(), result.passed
 
 
-class TestOrbitOutputGuard:
-    """Orbit configs keep their exact output bytes through any engine change."""
+class TestOutputGuard:
+    """Configs keep their exact output bytes through any kernel or engine change.
+
+    Orbit configs and `zero_inflation`, whose masked matcher no benchmark
+    workload runs.
+    """
 
     def test_random_perturbed_matches_benchmark_reference(self):
         ref = json.loads(REFERENCES.read_text())["random_perturbed"]
@@ -252,6 +256,10 @@ class TestOrbitOutputGuard:
         cut = {"start_pow2": 10, "stop_pow2": 14}
         assert _csv_digest(name, trials=1, schedule=cut) == (digest, passed)
 
+    def test_zero_inflation_is_pinned(self):
+        assert _csv_digest("zero_inflation", trials=3) == (
+            "e1ccdf64dfebc6b773f39ba025960504ad1ad4c668604311c04a25d80aa4b73a", True)
+
 
 class TestMaskSharing:
     def test_shared_mask_is_default(self):
@@ -270,7 +278,7 @@ class TestMaskSharing:
 
 class TestScrabbleCrosscheck:
     def test_discrepancy_within_boundary_slack(self):
-        plan = ExperimentPlan(kind="scrabble_law", schedule=(64, 128), trials=6,
+        plan = ExperimentPlan(kind="scrabble_law", schedule=(64, 128, 256), trials=6,
                               master_seed=11,
                               source={"kind": "markov",
                                       "transition": [[0.5, 0.5], [0.5, 0.5]],
@@ -340,6 +348,10 @@ class TestCli:
         ({"schedule": 5}, "schedule must be a list"),
         ({"source": [1, 2]}, "source must be a mapping"),
         ({"encoder": {"kind": "stretch", "weights": [1, [2]]}}, "bad value in a nested spec"),
+        ({"schedule": [64, 128]}, "at least three schedule points"),
+        ({"tolerance_frac": "abc"}, "tolerance_frac must be a nonnegative number"),
+        ({"tolerance_abs": -0.25}, "tolerance_abs must be a nonnegative number"),
+        ({"theory": "atuo"}, "theory must be 'auto' or a number"),
     ])
     def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
         cfg = self._write_config(tmp_path, **override)

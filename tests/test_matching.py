@@ -167,11 +167,12 @@ class TestWindowClassKernel:
 
 class TestMaskedWindowLcs:
     @staticmethod
-    def brute_force(x, y, mask, n):
+    def brute_force(x, y, mask, n, mask_y=None):
+        mask_y = mask if mask_y is None else mask_y
         best = 0
         for k in range(1, n + 1):
             wx = {tuple(x.data[i:i + k] * mask[:k]) for i in range(n - k + 1)}
-            if any(tuple(y.data[j:j + k] * mask[:k]) in wx for j in range(n - k + 1)):
+            if any(tuple(y.data[j:j + k] * mask_y[:k]) in wx for j in range(n - k + 1)):
                 best = k
         return best
 
@@ -183,6 +184,52 @@ class TestMaskedWindowLcs:
         sched = (1, 4, 9, 20, 40)
         assert masked_window_lcs(x, y, mask, schedule=sched) == [
             self.brute_force(x, y, mask, n) for n in sched]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unshared_masks_match_brute_force(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        x, y = low_entropy_pair(seed, 3, 40, 40)
+        mask_x, mask_y = (rng.random((2, 40)) < 0.7).astype(np.int64)
+        sched = (1, 4, 9, 20, 40)
+        assert masked_window_lcs(x, y, mask_x, mask_y, sched) == [
+            self.brute_force(x, y, mask_x, n, mask_y) for n in sched]
+
+    # symbol 0 occurs in odd seeds only; past 2^31 the symbols are ranked,
+    # and a masked position must still equal symbol 0 and no other symbol
+    @pytest.mark.parametrize("size", [300, 2 ** 40])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_large_alphabets_match_brute_force(self, size, seed):
+        rng = np.random.default_rng(200 + seed)
+        pool = rng.integers(2 ** 31 if size > 2 ** 31 else 1, size, 3)
+        if seed % 2:
+            pool[0] = 0
+        n = 40
+        xd = pool[rng.integers(0, 3, n)]
+        yd = pool[rng.integers(0, 3, n)]
+        yd[5:25] = xd[12:32]
+        x, y = SymbolSeq(Alphabet(size), xd), SymbolSeq(Alphabet(size), yd)
+        mask_x, mask_y = (rng.random((2, n)) < 0.7).astype(np.int64)
+        sched = (3, 10, 25, 40)
+        assert masked_window_lcs(x, y, mask_x, mask_y, sched) == [
+            self.brute_force(x, y, mask_x, n, mask_y) for n in sched]
+        assert masked_window_lcs(x, y, mask_x, schedule=sched) == [
+            self.brute_force(x, y, mask_x, n) for n in sched]
+
+    # binary codes are re-ranked before k = 63 and again before k = 119, so
+    # the optima at n = 100 and n = 150 lie past one and past two re-ranks
+    @pytest.mark.parametrize("flips", [(7,), (75,), (3, 146), (50, 110)])
+    def test_lengths_past_re_ranks_match_brute_force(self, flips):
+        rng = np.random.default_rng(len(flips) * 1000 + flips[0])
+        n = 150
+        xd = rng.integers(0, 2, n)
+        yd = xd.copy()
+        yd[list(flips)] ^= 1
+        x, y = SymbolSeq(Alphabet(2), xd), SymbolSeq(Alphabet(2), yd)
+        mask = (rng.random(n) < 0.7).astype(np.int64)
+        sched = (30, 100, 150)
+        got = masked_window_lcs(x, y, mask, schedule=sched)
+        assert got == [self.brute_force(x, y, mask, m) for m in sched]
+        assert got[1] >= 63 and got[2] >= 119
 
     @pytest.mark.parametrize("seed", range(4))
     def test_all_ones_mask_is_plain_lcs(self, seed):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from matchdim import (Alphabet, IIDSource, MarkovSource, SymbolSeq,
-                      block_counts, collision_probability, sample,
-                      stationary_distribution)
+                      block_counts, sample, stationary_distribution)
 from matchdim.sources import WindowClasses, collision_sum, window_counts
 
 
@@ -167,7 +166,8 @@ class TestWindowCounts:
             counts = window_counts(s, k)
             # counts follow the lexicographic order of the windows
             assert counts.tolist() == [ref[key] for key in sorted(ref)]
-            assert collision_probability(s, k) == collision_sum(counts)
+            assert collision_sum(window_counts(s, k)) == collision_sum(
+                np.array([ref[key] for key in sorted(ref)]))
             assert counts.max() > 1
 
     @pytest.mark.parametrize("k", [1, 6, 7, 30])
@@ -219,21 +219,21 @@ class TestCollisionProbability:
     def test_constant_sequence(self):
         s = seq([0, 0, 0, 0])
         for k in range(1, 5):
-            assert collision_probability(s, k) == 1.0
+            assert collision_sum(window_counts(s, k)) == 1.0
 
     def test_two_symbols(self):
-        assert collision_probability(seq([0, 1]), 1) == pytest.approx(0.5)
+        assert collision_sum(window_counts(seq([0, 1]), 1)) == pytest.approx(0.5)
 
     def test_hand_enumeration(self):
         # 0101 at k=2: windows 01,10,01 -> (2/3)^2 + (1/3)^2
-        assert collision_probability(seq([0, 1, 0, 1]), 2) == pytest.approx(5 / 9)
+        assert collision_sum(window_counts(seq([0, 1, 0, 1]), 2)) == pytest.approx(5 / 9)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 80), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_equality_case(self, seed, n, k):
         s = sample(IIDSource(np.array([0.5, 0.5])), n, seed)
         k = min(k, n)
-        col = collision_probability(s, k)
+        col = collision_sum(window_counts(s, k))
         distinct = len(block_counts(s, k))
         assert 1.0 / distinct <= col + 1e-15
         assert col <= 1.0
