@@ -4,9 +4,10 @@ Subcommands map one-to-one onto experiment kinds (`lcs-law`, `scrabble-law`,
 `orbit-law`, `random-orbit-law`, `entropy`) plus `selftest`. Each experiment
 reads a YAML config, writes the per-trial CSV to --out (or stdout) and a
 one-line summary to stderr; the exit status is 0 exactly when every
-configured tolerance gate passed, 1 when a gate failed, and 2 for a config
-error (not a mapping, a kind that does not match the subcommand, or a bad,
-missing or unknown key), which is reported as one line on stderr.
+configured tolerance gate passed, 1 when a gate failed, and 2 for a bad
+flag such as `--threads 0` or a config error (not a mapping, a kind that
+does not match the subcommand, a bad, missing or unknown key, or specs that
+do not fit together), which is reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -45,12 +46,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "selftest":
         report = harness.selftest()
         for line in report.lines():
             print(line)
         return 0 if report.ok else 1
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
 
     with open(args.config) as fh:
         cfg = yaml.safe_load(fh)
@@ -71,7 +75,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    result = harness.run(plan, threads=max(1, args.threads))
+    result = harness.run(plan, threads=args.threads)
     csv_text = result.to_csv()
     if args.out:
         with open(args.out, "w", newline="") as fh:

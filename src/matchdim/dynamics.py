@@ -314,7 +314,6 @@ def _shift_register(b: int, x: int, refresher, n: int, noise=None) -> np.ndarray
         digits <<= np.uint64(1)
         digits |= column
     if noise is not None:
-        # the residue mod 2^62 of each offset, int64 or Python int alike
         digits += (noise & _WINDOW_MASK).astype(np.uint64)
     span = 1
     while span * b < _WINDOW_BITS:
@@ -435,11 +434,9 @@ def iterate_random(system: SkewSystem, omega0, x0, n: int, seed: int
         return _run(system.maps, coords, refresher, n, index=index), index.astype(float)
     eps = driver.epsilon
     noise = rng.uniform(-eps, eps, n - 1) if eps > 0 else np.zeros(n - 1)
-    # int(v * 2^62) per offset: astype truncates toward zero as int() does,
-    # exactly while |v| < 2 keeps the product inside int64
-    scaled = noise * 2.0 ** 62
-    fixed = (scaled.astype(np.int64) if eps <= 2.0
-             else np.array([int(v) for v in scaled.tolist()], dtype=object))
+    # a step reads an offset only mod 2^62, and fmod is exact, so this int64 has
+    # the residue of int(v * 2^62) for any epsilon: both truncate toward zero
+    fixed = (np.fmod(noise, 1.0) * 2.0 ** 62).astype(np.int64)
     return _run(system.maps, coords, refresher, n, noise=fixed), noise
 
 

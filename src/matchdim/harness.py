@@ -13,7 +13,11 @@ the theoretical limit supplied by the entropy/geometry modules:
   independent (random) orbits versus log n; limit 2 / C with C the
   correlation dimension of the relevant invariant measure (declared for
   Lebesgue systems, estimated empirically otherwise).
-- entropy_check: empirical block-entropy plateau against the closed form.
+- entropy_check: each trial's block-entropy plateau against H2 itself.
+
+Every kind runs one path: `theoretical_slope_limit` resolves the target
+before any trial (`plan_from_config` too, so specs that do not fit together
+are a config error), then one gate compares the slope or plateaus with it.
 
 Per-trial streams are derived from (master seed, trial index, role) so runs
 are reproducible and thread-count independent; rows are emitted in sorted
@@ -163,6 +167,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
             if spec is not None:
                 build(spec)
         _encoder_for_trial(plan, 0, 0)
+        theoretical_slope_limit(plan)  # specs that do not fit together fail here
     except TypeError as e:  # a value of the wrong type, such as m: [2]
         raise ValueError(f"bad value in a nested spec: {e}") from None
     return plan
@@ -219,21 +224,20 @@ def _encoder_for_trial(plan: ExperimentPlan, trial: int, side: int) -> encoders.
     return enc
 
 
-def _build_system(spec: dict):
-    """Returns (map_spec, None) for deterministic systems, (None, skew) for random."""
+def _build_system(spec: dict) -> dynamics.MapSpec | dynamics.SkewSystem:
+    """A deterministic map, or a SkewSystem for a random one."""
     spec = dict(spec or {})
     kind = spec.pop("kind", None)
-    map_spec = skew = None
     if kind == "times_m":
-        map_spec = dynamics.TimesMap(int(spec.pop("m")))
+        system = dynamics.TimesMap(int(spec.pop("m")))
     elif kind == "toral_automorphism":
-        map_spec = dynamics.ToralAutomorphism(tuple(tuple(row) for row in spec.pop("matrix")))
+        system = dynamics.ToralAutomorphism(tuple(tuple(row) for row in spec.pop("matrix")))
     elif kind == "noniid_2x3x":
-        skew = dynamics.SkewSystem(dynamics.ThetaDriver(),
-                                   (dynamics.TimesMap(2), dynamics.TimesMap(3)))
+        system = dynamics.SkewSystem(dynamics.ThetaDriver(),
+                                     (dynamics.TimesMap(2), dynamics.TimesMap(3)))
     elif kind == "perturbed_times_m":
         base = dynamics.TimesMap(int(spec.pop("m", 2)))
-        skew = dynamics.SkewSystem(
+        system = dynamics.SkewSystem(
             dynamics.UniformBallDriver(float(spec.pop("epsilon", 1e-3))), (base,))
     elif kind == "toral_pair":
         if "matrices" in spec:
@@ -241,12 +245,12 @@ def _build_system(spec: dict):
                          for m in spec.pop("matrices"))
         else:
             maps = dynamics.default_toral_pair()
-        skew = dynamics.SkewSystem(dynamics.BernoulliDriver(float(spec.pop("q", 0.5))),
-                                   maps)
+        system = dynamics.SkewSystem(dynamics.BernoulliDriver(float(spec.pop("q", 0.5))),
+                                     maps)
     else:
         raise ValueError(f"unknown system kind {kind!r}")
     _no_leftovers(spec, "system")
-    return map_spec, skew
+    return system
 
 
 def _build_observation(spec: dict | None) -> dynamics.ObservationSpec:
@@ -268,8 +272,8 @@ def _build_observation(spec: dict | None) -> dynamics.ObservationSpec:
     return obs
 
 
-def closed_form_entropy(plan: ExperimentPlan) -> float | None:
-    """Collision entropy rate of the configured encoded source, when known."""
+def closed_form_entropy(plan: ExperimentPlan) -> float:
+    """Collision entropy rate H2 of the configured encoded source."""
     src = _build_source(plan.source)
     enc = _encoder_for_trial(plan, 0, 0)
     if isinstance(enc, encoders.IdentityEncoder):
@@ -286,34 +290,35 @@ def closed_form_entropy(plan: ExperimentPlan) -> float | None:
 
 
 def theoretical_slope_limit(plan: ExperimentPlan) -> float | None:
-    """Single source of truth for the slope targets of all experiment kinds."""
+    """The target of every gate: 2/H2, 2/C or H2 itself; None when C is only
+    known empirically (`run` estimates it) or the observation collapses."""
     if isinstance(plan.theory, (int, float)):
         return float(plan.theory)
+    if plan.kind == "entropy_check":
+        return closed_form_entropy(plan)
     if plan.kind in ("lcs_law", "scrabble_law"):
         return 2.0 / closed_form_entropy(plan)
-    if plan.kind == "orbit_law":
-        obs = _build_observation(plan.observation)
-        if isinstance(obs, dynamics.Collapse):
-            return None
-        map_spec, _ = _build_system(plan.system)
-        if map_spec is None:
-            raise ValueError("orbit_law needs a deterministic map system")
-        if isinstance(obs, dynamics.IdentityObservation):
-            return 2.0 / map_spec.dim
-        if isinstance(obs, dynamics.CoordinateProjection):
-            return 2.0
-        return None  # estimated empirically at run time
+    system = _build_system(plan.system)
+    is_random = isinstance(system, dynamics.SkewSystem)
     if plan.kind == "random_orbit_law":
-        _, skew = _build_system(plan.system)
-        if skew is None:
+        if not is_random:
             raise ValueError("random_orbit_law needs a random system")
-        if isinstance(skew.driver, dynamics.UniformBallDriver):
+        if isinstance(system.driver, dynamics.UniformBallDriver):
             return None  # stationary density known only empirically
-        return 2.0 / skew.dim
-    return None
+        return 2.0 / system.dim
+    obs = _build_observation(plan.observation)
+    if isinstance(obs, dynamics.Collapse):
+        return None
+    if is_random:
+        raise ValueError("orbit_law needs a deterministic map system")
+    if isinstance(obs, dynamics.IdentityObservation):
+        return 2.0 / system.dim
+    if isinstance(obs, dynamics.CoordinateProjection):
+        return 2.0
+    return None  # estimated empirically at run time
 
 
-def _lcs_trial(plan: ExperimentPlan, trial: int) -> list[float]:
+def _lcs_trial(plan: ExperimentPlan, trial: int) -> list[int]:
     src = _build_source(plan.source)
     n_max = plan.schedule[-1]
     x = sources.sample(src, n_max, spawn_seed(plan.master_seed, trial, _ROLE_X))
@@ -325,66 +330,55 @@ def _lcs_trial(plan: ExperimentPlan, trial: int) -> list[float]:
         # compared under a common mask prefix, the event whose decay rate is
         # the contaminated entropy (the encoder is not shift-equivariant, so
         # this differs from the plain substring match of the encoded strings)
-        vals = matching.masked_window_lcs(x, y, enc_x.mask(n_max),
+        return matching.masked_window_lcs(x, y, enc_x.mask(n_max),
                                           enc_y.mask(n_max), plan.schedule)
-        return [float(v) for v in vals]
     ex = encoders.encode(enc_x, x, n_max)
     ey = encoders.encode(enc_y, y, n_max)
-    return [float(v) for v in matching.lcs_lengths_over_schedule(ex, ey, plan.schedule)]
+    return matching.lcs_lengths_over_schedule(ex, ey, plan.schedule)
 
 
-def _orbit_trial(plan: ExperimentPlan, trial: int) -> list[float]:
-    n_max = plan.schedule[-1]
-    map_spec, skew = _build_system(plan.system)
-    seed_a = spawn_seed(plan.master_seed, trial, _ROLE_X)
-    seed_b = spawn_seed(plan.master_seed, trial, _ROLE_Y)
-    if map_spec is not None:
-        orbit_a = dynamics.lebesgue_orbit(map_spec, n_max, seed_a)
-        orbit_b = dynamics.lebesgue_orbit(map_spec, n_max, seed_b)
+def _observed_orbit(plan: ExperimentPlan, n: int, seed: int) -> dynamics.Orbit:
+    """n observed points of the configured system from its invariant law."""
+    system = _build_system(plan.system)
+    if isinstance(system, dynamics.SkewSystem):
+        orbit, _ = dynamics.iterate_random(system, None, None, n, seed)
     else:
-        orbit_a, _ = dynamics.iterate_random(skew, None, None, n_max, seed_a)
-        orbit_b, _ = dynamics.iterate_random(skew, None, None, n_max, seed_b)
-    obs = _build_observation(plan.observation)
-    profile = geometry.distance_profile(dynamics.observe(obs, orbit_a),
-                                        dynamics.observe(obs, orbit_b),
-                                        plan.schedule)
-    return [float(v) for v in profile.m_values]
+        orbit = dynamics.lebesgue_orbit(system, n, seed)
+    return dynamics.observe(_build_observation(plan.observation), orbit)
 
 
-def _entropy_trial(plan: ExperimentPlan, trial: int) -> list[tuple[int, float]]:
+def _orbit_trial(plan: ExperimentPlan, trial: int) -> np.ndarray:
+    a, b = (_observed_orbit(plan, plan.schedule[-1],
+                            spawn_seed(plan.master_seed, trial, role))
+            for role in (_ROLE_X, _ROLE_Y))
+    return geometry.distance_profile(a, b, plan.schedule).m_values
+
+
+def _entropy_trial(plan: ExperimentPlan, trial: int
+                   ) -> tuple[entropy.EntropyEstimate, list[entropy.EntropyEstimate]]:
     src = _build_source(plan.source)
     seq = sources.sample(src, plan.sample_length,
                          spawn_seed(plan.master_seed, trial, _ROLE_X))
     enc = _encoder_for_trial(plan, trial, 0)
-    encoded = encoders.encode(enc, seq, plan.sample_length)
-    plateau, table = entropy.empirical_plateau(encoded)
-    return [(est.k, est.value) for est in table] + [(0, plateau.value)]
+    return entropy.empirical_plateau(encoders.encode(enc, seq, plan.sample_length))
 
 
 def estimate_orbit_dimension(plan: ExperimentPlan, n_points: int = 100_000,
                              burn_in: int = 100) -> geometry.DimensionFit:
     """Correlation dimension of the configured system's observed point cloud."""
-    map_spec, skew = _build_system(plan.system)
-    seed = spawn_seed(plan.master_seed, _DIM_ESTIMATE_KEY)
-    n = n_points + burn_in
-    if map_spec is not None:
-        orbit = dynamics.lebesgue_orbit(map_spec, n, seed)
-    else:
-        orbit, _ = dynamics.iterate_random(skew, None, None, n, seed)
-    obs = _build_observation(plan.observation)
-    observed = dynamics.observe(obs, orbit)
+    observed = _observed_orbit(plan, n_points + burn_in,
+                               spawn_seed(plan.master_seed, _DIM_ESTIMATE_KEY))
     pts = observed.points[burn_in:]
     r_lo, r_hi = geometry.default_radius_window(pts.shape[0], pts.shape[1])
     return geometry.correlation_dimension(pts, r_lo, r_hi, space=observed.space)
 
 
-def _gate(plan: ExperimentPlan, slope: float | None, theory: float | None) -> bool:
-    if slope is None or theory is None:
-        return True
+def _gate(plan: ExperimentPlan, measured: float, theory: float) -> bool:
+    """The one gate: tolerance_abs, else tolerance_frac * |theory|; none passes."""
     if plan.tolerance_abs is not None:
-        return abs(slope - theory) <= plan.tolerance_abs
+        return abs(measured - theory) <= plan.tolerance_abs
     if plan.tolerance_frac is not None:
-        return abs(slope - theory) <= plan.tolerance_frac * abs(theory)
+        return abs(measured - theory) <= plan.tolerance_frac * abs(theory)
     return True
 
 
@@ -397,70 +391,36 @@ def _run_trials(plan: ExperimentPlan, fn, threads: int):
 
 def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """Execute a plan; deterministic in (plan, master seed) for any thread count."""
+    theory = theoretical_slope_limit(plan)
+    details: dict = {}
+    if theory is None and not plan.expect_collapse:  # an orbit law with C unknown
+        dim_fit = estimate_orbit_dimension(plan)
+        details["estimated_dimension"] = dim_fit.slope
+        theory = 2.0 / dim_fit.slope
+    orbit = plan.kind.endswith("orbit_law")
+    trial_fn = (_entropy_trial if plan.kind == "entropy_check"
+                else _orbit_trial if orbit else _lcs_trial)
+    per_trial = _run_trials(plan, lambda t: trial_fn(plan, t), threads)
     if plan.kind == "entropy_check":
-        return _run_entropy_check(plan, threads)
-    if plan.kind in ("lcs_law", "scrabble_law"):
-        per_trial = _run_trials(plan, lambda t: _lcs_trial(plan, t), threads)
-        stat_matrix = np.asarray(per_trial, dtype=float)
-        ys = stat_matrix.mean(axis=0)
-        theory = theoretical_slope_limit(plan)
-        fit = fit_slope(np.log(plan.schedule), ys)
-        return ExperimentResult(plan=plan, rows=_rows(plan, stat_matrix),
-                                theory_limit=theory, fit=fit,
-                                passed=_gate(plan, fit.slope, theory))
-    if plan.kind in ("orbit_law", "random_orbit_law"):
-        per_trial = _run_trials(plan, lambda t: _orbit_trial(plan, t), threads)
-        stat_matrix = np.asarray(per_trial, dtype=float)
-        collapse = bool((stat_matrix == 0.0).any())
-        theory = theoretical_slope_limit(plan)
-        details: dict = {}
-        if theory is None and not plan.expect_collapse and plan.theory == "auto":
-            dim_fit = estimate_orbit_dimension(plan)
-            details["estimated_dimension"] = dim_fit.slope
-            theory = 2.0 / dim_fit.slope
-        clean = stat_matrix[~(stat_matrix == 0.0).any(axis=1)]
-        fit = None
-        if clean.shape[0] > 0:
-            ys = (-np.log(clean)).mean(axis=0)
-            fit = fit_slope(np.log(plan.schedule), ys)
-        if plan.expect_collapse:
-            passed = collapse
-        elif fit is None:
-            passed = False
-        else:
-            passed = _gate(plan, fit.slope, theory)
-        return ExperimentResult(plan=plan, rows=_rows(plan, stat_matrix),
-                                theory_limit=theory, fit=fit, passed=passed,
-                                collapse_detected=collapse, details=details)
-    raise ValueError(f"unknown experiment kind {plan.kind!r}")
-
-
-def _rows(plan: ExperimentPlan, stat_matrix: np.ndarray) -> list[tuple[int, int, float]]:
-    rows = []
-    for trial in range(stat_matrix.shape[0]):
-        for t, n in enumerate(plan.schedule):
-            rows.append((trial, n, float(stat_matrix[trial, t])))
-    return rows
-
-
-def _run_entropy_check(plan: ExperimentPlan, threads: int) -> ExperimentResult:
-    per_trial = _run_trials(plan, lambda t: _entropy_trial(plan, t), threads)
-    closed = closed_form_entropy(plan)
-    rows = []
-    plateaus = []
-    for trial, table in enumerate(per_trial):
-        for k, value in table:
-            if k == 0:
-                plateaus.append(value)
-            else:
-                rows.append((trial, k, value))
-    passed = True
-    if closed is not None and plan.tolerance_frac is not None:
-        passed = all(abs(p - closed) <= plan.tolerance_frac * abs(closed)
-                     for p in plateaus)
-    return ExperimentResult(plan=plan, rows=rows, theory_limit=closed, fit=None,
-                            passed=passed,
-                            details={"plateau_estimates": plateaus})
+        rows = [(trial, est.k, est.value)
+                for trial, (_, table) in enumerate(per_trial) for est in table]
+        plateaus = details["plateau_estimates"] = [plateau.value for plateau, _ in per_trial]
+        fit, collapsed = None, np.zeros(0, dtype=bool)
+        passed = all(_gate(plan, p, theory) for p in plateaus)
+    else:
+        stats = np.asarray(per_trial, dtype=float)
+        rows = [(trial, n, float(v))
+                for trial, row in enumerate(stats) for n, v in zip(plan.schedule, row)]
+        # a zero orbit distance is a collapse: that trial has no -log m_n to fit
+        collapsed = (stats == 0.0).any(axis=1) & orbit
+        clean = stats[~collapsed]
+        fit = (fit_slope(np.log(plan.schedule), (-np.log(clean) if orbit else clean).mean(0))
+               if len(clean) else None)
+        passed = (collapsed.any() if orbit and plan.expect_collapse
+                  else fit is not None and _gate(plan, fit.slope, theory))
+    return ExperimentResult(plan=plan, rows=rows, theory_limit=theory, fit=fit,
+                            passed=bool(passed), collapse_detected=bool(collapsed.any()),
+                            details=details)
 
 
 def scrabble_crosscheck(plan: ExperimentPlan, n_raw: int = 4096) -> list[int]:

@@ -306,7 +306,10 @@ _SYSTEMS = {
     "noise_0": SkewSystem(UniformBallDriver(0.0), (TimesMap(2),)),
     "noise_1e-3": SkewSystem(UniformBallDriver(1e-3), (TimesMap(2),)),
     "noise_1e-3_times4": SkewSystem(UniformBallDriver(1e-3), (TimesMap(4),)),
-    # offsets past 2 in magnitude overflow int64 once scaled by 2^62
+    # offsets past 1 in magnitude keep only their residue mod 2^62: between 1
+    # and 2 the fractional part differs from the offset, past 2 the scaled
+    # offset no longer fits int64
+    "noise_1.5": SkewSystem(UniformBallDriver(1.5), (TimesMap(2),)),
     "noise_3": SkewSystem(UniformBallDriver(3.0), (TimesMap(2),)),
 }
 

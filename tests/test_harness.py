@@ -212,6 +212,24 @@ class TestRun:
         assert result.details["plateau_estimates"]
         assert result.passed
 
+    def test_entropy_gate_reads_tolerance_abs(self):
+        with open(CONFIG_DIR / "entropy_markov.yaml") as fh:
+            cfg = yaml.safe_load(fh)
+        del cfg["tolerance_frac"]
+        cfg["sample_length"] = 100_000  # plateau 0.2177 against 0.2073
+        assert run(plan_from_config({**cfg, "tolerance_abs": 0.05})).passed
+        assert not run(plan_from_config({**cfg, "tolerance_abs": 1e-9})).passed
+
+    def test_numeric_theory_is_the_entropy_target(self):
+        plan = ExperimentPlan(kind="entropy_check", schedule=(1,), trials=1,
+                              master_seed=9, sample_length=20_000,
+                              source={"kind": "iid", "probs": [0.5, 0.5]},
+                              theory=0.5, tolerance_frac=0.10)
+        result = run(plan)
+        assert result.theory_limit == 0.5
+        assert result.to_csv().splitlines()[1].split(",")[-1] == "0.5"
+        assert not result.passed  # the plateau is near log 2, not 0.5
+
     def test_csv_schema(self):
         result = run(small_plan())
         lines = result.to_csv().strip().split("\n")
@@ -233,8 +251,8 @@ def _csv_digest(name: str, **overrides):
 class TestOutputGuard:
     """Configs keep their exact output bytes through any kernel or engine change.
 
-    Orbit configs and `zero_inflation`, whose masked matcher no benchmark
-    workload runs.
+    Orbit configs, `zero_inflation`, whose masked matcher no benchmark
+    workload runs, and the scrabble and entropy routes through `run`.
     """
 
     def test_random_perturbed_matches_benchmark_reference(self):
@@ -259,6 +277,18 @@ class TestOutputGuard:
     def test_zero_inflation_is_pinned(self):
         assert _csv_digest("zero_inflation", trials=3) == (
             "e1ccdf64dfebc6b773f39ba025960504ad1ad4c668604311c04a25d80aa4b73a", True)
+
+    @pytest.mark.parametrize("name, overrides, digest, passed", [
+        ("scrabble", {"trials": 3},
+         "2cb6494a19ec8750ce535fe902e45fe3c3b4f3b8d9466afbb1656f2b5d350be4", True),
+        ("entropy_zero_inflation", {"sample_length": 100_000},
+         "760e47d47ac298f09bbeb39742ab1ad4af5d0fa95356bb14c98650332c44b100", True),
+        # the plateau misses the 5 % band at this length: pins the frac gate's verdict
+        ("entropy_markov_dirac", {"sample_length": 100_000},
+         "425bfc73b0b8c2ed27c0ccefd1250154b8529c07a802ed0285e98be0e0023daa", False),
+    ])
+    def test_scrabble_and_entropy_configs_are_pinned(self, name, overrides, digest, passed):
+        assert _csv_digest(name, **overrides) == (digest, passed)
 
 
 class TestMaskSharing:
@@ -352,10 +382,20 @@ class TestCli:
         ({"tolerance_frac": "abc"}, "tolerance_frac must be a nonnegative number"),
         ({"tolerance_abs": -0.25}, "tolerance_abs must be a nonnegative number"),
         ({"theory": "atuo"}, "theory must be 'auto' or a number"),
+        # specs that do not fit together, caught when the target is resolved
+        ({"encoder": {"kind": "stretch", "weights": [1, 2, 3]}},
+         "3 weights for an alphabet of 2 symbols"),
+        ({"encoder": {"kind": "stretch", "weights": [1]}}, "missing weight"),
+        ({"source": {"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]]},
+          "encoder": {"kind": "zero_inflation", "epsilon": 0.3}},
+         "zero-inflation closed form needs an i.i.d. source"),
+        ({"experiment": "orbit_law", "system": {"kind": "perturbed_times_m"}},
+         "orbit_law needs a deterministic map system"),
     ])
     def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
         cfg = self._write_config(tmp_path, **override)
-        assert cli.main(["lcs-law", "--config", str(cfg)]) == 2
+        command = override.get("experiment", "lcs_law").replace("_", "-")
+        assert cli.main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and wording in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -366,6 +406,14 @@ class TestCli:
         cfg.write_text(text)
         assert cli.main(["lcs-law", "--config", str(cfg)]) == 2
         assert "must be a YAML mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        cfg = self._write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["lcs-law", "--config", str(cfg), "--threads", threads])
+        assert exit_info.value.code == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
 
     def test_selftest_command(self):
         assert cli.main(["selftest"]) == 0
