@@ -23,6 +23,16 @@ row-major order among the minima, i.e. the least (distance, i, j) over all
 candidates, whatever their chunk or cell shift. They therefore return
 bitwise-identical distances and witnesses.
 
+A distance profile, m_n along a schedule of n values, takes one
+certified-radius pass. Since m_n never increases with n, r = m_{n0} from the
+fast path at the first scheduled n0 bounds every later minimum. One grid at
+N = max(schedule), with cells just wider than r, yields every pair within r;
+ordered by (d, i, j), the first of them with max(i, j) < n is the least
+(d, i, j) among the pairs with i, j < n, i.e. the reference's answer at n.
+Each n is instead searched on its own by the fast path where the pass could
+not certify or would go quadratic: r = 0, a coincident pair among the first
+N points, or a grid at r of at most three cells per axis.
+
 Correlation sums (Grassberger-Procaccia) count the pairs i < j closer than r
 among the engine's pairs on one grid at the largest radius, and the
 correlation dimension is the least-squares slope (`fit_slope`, the package's
@@ -32,6 +42,7 @@ log-radius over a geometric radius window.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import warnings
@@ -43,6 +54,7 @@ from .dynamics import TORUS, Orbit
 
 _BLOCK_ENTRIES = 1 << 14
 _CHUNK_PAIRS = 1 << 14
+_PASS_SPAN = 256  # largest N / n0 that one distance-profile pass covers
 
 
 @dataclass(frozen=True)
@@ -175,7 +187,7 @@ class _Grid:
         self.widths = spans / self.k_axes
         self.mins = mins
         flat = self._flatten(self._cells(pts))
-        self.order = np.argsort(flat, kind="stable")
+        self.order = np.argsort(flat)
         self.sorted_flat = flat[self.order]
 
     def _cells(self, pts: np.ndarray) -> np.ndarray:
@@ -208,7 +220,7 @@ class _Grid:
         # visiting queries in cell order keeps the searchsorted keys nearly
         # sorted, which makes their lookups cache-local
         qcells = self._cells(query)
-        qorder = np.argsort(self._flatten(qcells), kind="stable")
+        qorder = np.argsort(self._flatten(qcells))
         qcells = qcells[qorder]
         if self.torus:
             shifts = [sorted({s % k for s in (-1, 0, 1)}) for k in self.k_axes.tolist()]
@@ -251,12 +263,14 @@ def _common_point(pa: np.ndarray, pb: np.ndarray) -> tuple[int, int] | None:
     least i, then by their least j.
     """
     wa, wb = pa.view(np.uint64), pb.view(np.uint64)
-    first_b = np.sort(wb[:, 0])
-    at = np.minimum(np.searchsorted(first_b, wa[:, 0]), first_b.size - 1)
-    ia = np.flatnonzero(first_b[at] == wa[:, 0])
-    if ia.size == 0:
+    # sorted keys keep the lookups cache-local
+    first_a, first_b = np.sort(wa[:, 0]), np.sort(wb[:, 0])
+    at = np.minimum(np.searchsorted(first_b, first_a), first_b.size - 1)
+    shared = first_a[first_b[at] == first_a]
+    if shared.size == 0:
         return None
-    jb = np.flatnonzero(np.isin(wb[:, 0], wa[ia, 0]))
+    ia = np.flatnonzero(np.isin(wa[:, 0], shared))
+    jb = np.flatnonzero(np.isin(wb[:, 0], shared))
     words = np.vstack((wa[ia], wb[jb]))
     order = np.lexsort(words.T[::-1])  # stable: equal rows keep a, then b, by index
     rows, index, from_b = words[order], np.concatenate((ia, jb))[order], order >= ia.size
@@ -269,8 +283,7 @@ def _common_point(pa: np.ndarray, pb: np.ndarray) -> tuple[int, int] | None:
     return int(index[lead_a[k]]), int(index[lead_b[k]])
 
 
-def shortest_distance_fast(orbit_a: Orbit, orbit_b: Orbit, n: int,
-                           w_init: float | None = None) -> NearestPair:
+def shortest_distance_fast(orbit_a: Orbit, orbit_b: Orbit, n: int) -> NearestPair:
     """Grid-accelerated nearest pair; exact (bitwise equal to the reference)."""
     pa, pb, space = _check_pair_inputs(orbit_a, orbit_b, n)
     dim = pa.shape[1]
@@ -280,7 +293,7 @@ def shortest_distance_fast(orbit_a: Orbit, orbit_b: Orbit, n: int,
     if hit is not None:
         return NearestPair(0.0, hit)
     mins, spans = _space_frame(space, pa, pb)
-    w = w_init if w_init and w_init > 0 else 4.0 * float(spans.max()) * n ** (-2.0 / dim)
+    w = 4.0 * float(spans.max()) * n ** (-2.0 / dim)
     for _ in range(256):
         w = min(w, float(spans.max()))
         grid = _Grid(pb, w, space, mins, spans)
@@ -302,29 +315,57 @@ def shortest_distance_fast(orbit_a: Orbit, orbit_b: Orbit, n: int,
     raise ArithmeticError("grid search failed to certify a nearest pair")
 
 
-def distance_profile(orbit_a: Orbit, orbit_b: Orbit, schedule) -> DistanceProfile:
-    """m_n at each scheduled n; cost about one grid pass at max(schedule).
+def _certified_pass(pa: np.ndarray, pb: np.ndarray, space: str, ns: list[int],
+                    r: float) -> list[NearestPair] | None:
+    """The least (d, i, j) with i, j < n for each n in ns, from every pair of
+    pa x pb within r; None when a grid at r cannot certify or would go
+    quadratic. r must bound each of these minima."""
+    mins, spans = _space_frame(space, pa, pb)
+    # cells just wider than r, so a pair at exactly r lies in neighbouring cells
+    grid = _Grid(pb, float(np.nextafter(r, math.inf)) * (1.0 + 1e-12), space, mins, spans)
+    if grid.exhaustive or grid.min_width < r:
+        return None
+    kept = []
+    for i, j in grid.pairs(pa):
+        d = _rows_dist(pa[i], pb[j], space)
+        near = d <= r
+        kept.append((d[near], i[near], j[near]))
+    d, i, j = (np.concatenate(parts) for parts in zip(*kept))
+    order = np.lexsort((j, i, d))
+    # running least max(i, j) along (d, i, j) order: the first position where
+    # it drops below n is the least (d, i, j) among the pairs with i, j < n
+    reach = np.minimum.accumulate(np.maximum(i, j)[order])
+    at = order[np.searchsorted(-reach, -np.asarray(ns), side="right")]
+    return [NearestPair(float(dk), (int(ik), int(jk)))
+            for dk, ik, jk in zip(d[at], i[at], j[at])]
 
-    Each scheduled prefix is re-bucketed, primed with the previous minimum as
-    the cell width; for geometric schedules the total work is proportional to
-    the final pass.
+
+def distance_profile(orbit_a: Orbit, orbit_b: Orbit, schedule) -> DistanceProfile:
+    """m_n and its witness at each scheduled n; bitwise equal to
+    `shortest_distance` at each n.
+
+    One certified-radius pass (see the module docstring) serves every n up
+    to _PASS_SPAN * n0. It keeps about (N / n0)^2 pairs, so a schedule that
+    reaches further starts a new pass, with its own single-n search, at the
+    first n beyond that.
     """
     ns = [int(n) for n in schedule]
     if any(b <= a for a, b in zip(ns, ns[1:])) or (ns and ns[0] < 1):
         raise ValueError("schedule must be strictly increasing and positive")
-    m_values = np.empty(len(ns))
-    witnesses = []
-    prev: float | None = None
-    for t, n in enumerate(ns):
-        hint = prev * 2.0 if prev and prev > 0 else None
-        res = shortest_distance_fast(orbit_a, orbit_b, n, w_init=hint)
-        if prev is not None and res.distance > prev:
-            raise AssertionError("shortest distance increased along the schedule")
-        m_values[t] = res.distance
-        witnesses.append(res.witness)
-        prev = res.distance
+    found: list[NearestPair] = []
+    while len(found) < len(ns):
+        n0 = ns[len(found)]
+        part = ns[len(found):bisect.bisect_right(ns, _PASS_SPAN * n0)]
+        first = shortest_distance_fast(orbit_a, orbit_b, n0)
+        pa, pb, space = _check_pair_inputs(orbit_a, orbit_b, part[-1])
+        certified = None
+        if len(part) > 1 and first.distance > 0 and _common_point(pa, pb) is None:
+            certified = _certified_pass(pa, pb, space, part, first.distance)
+        found += certified or [first] + [shortest_distance_fast(orbit_a, orbit_b, n)
+                                         for n in part[1:]]
+    m_values = np.array([p.distance for p in found], dtype=float)
     m_values.flags.writeable = False
-    return DistanceProfile(tuple(ns), m_values, tuple(witnesses))
+    return DistanceProfile(tuple(ns), m_values, tuple(p.witness for p in found))
 
 
 def _pair_counts_below(pts: np.ndarray, radii: np.ndarray, space: str) -> np.ndarray:

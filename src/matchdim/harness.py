@@ -166,7 +166,11 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
                             (_build_observation, plan.observation)):
             if spec is not None:
                 build(spec)
-        _encoder_for_trial(plan, 0, 0)
+        enc = _encoder_for_trial(plan, 0, 0)
+        if isinstance(enc, encoders.StretchEncoder) and plan.source is not None:
+            # one weight per source symbol, checked here since a numeric theory
+            # skips the closed form that would read them
+            sources.symbol_weights(enc.weights, _build_source(plan.source).alphabet.size)
         theoretical_slope_limit(plan)  # specs that do not fit together fail here
     except TypeError as e:  # a value of the wrong type, such as m: [2]
         raise ValueError(f"bad value in a nested spec: {e}") from None
@@ -487,6 +491,24 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
         bad_distance += ref.distance != fast.distance
         bad_witness += ref.witness != fast.witness
     checks.append(("nearest-pair fast/reference equivalence (150 instances)",
+                   bad_distance == 0 and bad_witness == 0,
+                   f"{bad_distance} distance and {bad_witness} witness mismatches"))
+
+    bad_distance = bad_witness = 0
+    for _ in range(30):
+        n = int(rng.integers(16, 513))
+        dim = int(rng.integers(1, 3))
+        space = (dynamics.TORUS, dynamics.CUBE)[int(rng.integers(2))]
+        scale = 1.0 if space == dynamics.TORUS else float(rng.uniform(0.5, 4.0))
+        a = dynamics.Orbit(scale * rng.random((n, dim)), space)
+        b = dynamics.Orbit(scale * rng.random((n, dim)), space)
+        schedule = np.unique(np.r_[rng.integers(8, n + 1, size=4), n])
+        prof = geometry.distance_profile(a, b, schedule)
+        for k, m, witness in zip(schedule, prof.m_values, prof.witnesses):
+            ref = geometry.shortest_distance(a, b, int(k))
+            bad_distance += ref.distance != m
+            bad_witness += ref.witness != witness
+    checks.append(("distance-profile / per-n reference equivalence (30 instances)",
                    bad_distance == 0 and bad_witness == 0,
                    f"{bad_distance} distance and {bad_witness} witness mismatches"))
 

@@ -7,6 +7,7 @@ from matchdim import (Collapse, Orbit, correlation_dimension, correlation_sum,
                       default_radius_window, distance_profile, iterate,
                       observe, shortest_distance, shortest_distance_fast,
                       TimesMap)
+from matchdim import geometry
 from matchdim.geometry import _common_point
 
 
@@ -165,6 +166,118 @@ class TestDistanceProfile:
         a = uniform_orbit(10, 4)
         with pytest.raises(ValueError):
             distance_profile(a, a, (4, 2))
+
+
+def assert_profile_matches_reference(a, b, schedule):
+    prof = distance_profile(a, b, schedule)
+    for n, m, witness in zip(schedule, prof.m_values, prof.witnesses):
+        ref = shortest_distance(a, b, n)
+        assert (m, witness) == (ref.distance, ref.witness), n
+    return prof
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Records each certified pass (True when it certified) and the n of
+    each single-n search that distance_profile makes."""
+    seen = {"passes": [], "single_n": []}
+    certified_pass, single_n = geometry._certified_pass, geometry.shortest_distance_fast
+
+    def spy_pass(*args):
+        found = certified_pass(*args)
+        seen["passes"].append(found is not None)
+        return found
+
+    def spy_single_n(orbit_a, orbit_b, n):
+        seen["single_n"].append(n)
+        return single_n(orbit_a, orbit_b, n)
+
+    monkeypatch.setattr(geometry, "_certified_pass", spy_pass)
+    monkeypatch.setattr(geometry, "shortest_distance_fast", spy_single_n)
+    return seen
+
+
+class TestCertifiedPass:
+    """distance_profile against shortest_distance at every scheduled n."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_orbits_and_schedules(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        dim = int(rng.integers(1, 3))
+        space = ("torus", "cube")[int(rng.integers(2))]
+        scale = 1.0 if space == "torus" else float(rng.uniform(0.3, 5.0))
+        a = Orbit(scale * rng.random((n, dim)), space=space)
+        b = Orbit(scale * rng.random((n, dim)), space=space)
+        schedule = tuple(int(v) for v in np.unique(rng.integers(1, n + 1, size=5)))
+        assert_profile_matches_reference(a, b, schedule)
+
+    def test_one_single_n_search_then_one_pass(self, routes):
+        a, b = uniform_orbit(20, 4096), uniform_orbit(21, 4096)
+        assert_profile_matches_reference(a, b, (64, 256, 1024, 4096))
+        assert routes == {"passes": [True], "single_n": [64]}
+
+    def test_pair_at_exactly_the_radius(self, routes):
+        # with cells exactly as wide as r, rounding in (x - min) / width puts
+        # a0 and b0, exactly r apart, two cells apart, and the pass would
+        # miss the only pair within r
+        x, y = 7.743413417387507, 8.575098228943586
+        low, high = -2.2368043212854447, -2.2368043212854447 + 37 * 0.8316848115560794
+        a = Orbit(np.array([[x], [low]]), space="cube")
+        b = Orbit(np.array([[y], [high]]), space="cube")
+        prof = assert_profile_matches_reference(a, b, (1, 2))
+        assert prof.witnesses == ((0, 0), (0, 0))
+        assert routes["passes"] == [True]
+
+    def test_coincidence_after_the_first_n(self, routes):
+        rng = np.random.default_rng(22)
+        pa, pb = rng.random((512, 1)), rng.random((512, 1))
+        pb[300] = pa[200]
+        a, b = Orbit(pa), Orbit(pb)
+        prof = assert_profile_matches_reference(a, b, (32, 128, 512))
+        assert prof.m_values[-1] == 0.0 and prof.m_values[0] > 0.0
+        assert routes == {"passes": [], "single_n": [32, 128, 512]}
+
+    @pytest.mark.parametrize("space", ["torus", "cube"])
+    def test_exhaustive_grid_at_the_radius(self, routes, space):
+        # n0 = 1 puts r near the typical distance: at most three cells per axis
+        rng = np.random.default_rng(23)
+        a = Orbit(rng.random((300, 1)), space=space)
+        b = Orbit(rng.random((300, 1)), space=space)
+        assert_profile_matches_reference(a, b, (1, 10, 300))
+        assert routes == {"passes": [False], "single_n": [1, 10, 300]}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cube_with_non_unit_spans(self, routes, dim):
+        rng = np.random.default_rng(24 + dim)
+        spans = np.array([7.0, 0.3])[:dim]
+        a = Orbit(rng.random((1500, dim)) * spans - 2.0, space="cube")
+        b = Orbit(rng.random((1500, dim)) * spans + 0.1, space="cube")
+        assert_profile_matches_reference(a, b, (50, 200, 800, 1500))
+        assert routes["passes"] == [True]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equal_distance_ties(self, routes, dim):
+        # half-shifted lattices tie at one distance from the first n on, so
+        # the witness at n is the least (i, j) among tied pairs with i, j < n,
+        # not the least tied pair overall
+        rng = np.random.default_rng(25)
+        levels = 32
+        pa = rng.integers(0, levels, (600, dim)) / levels
+        pb = (rng.integers(0, levels, (600, dim)) + 0.5) / levels
+        a, b = Orbit(pa), Orbit(pb)
+        schedule = (40, 80, 160, 320, 600)
+        prof = assert_profile_matches_reference(a, b, schedule)
+        assert len(set(prof.m_values.tolist())) == 1
+        assert len(set(prof.witnesses)) > 1
+        assert routes["passes"] == [True]
+
+    def test_a_long_schedule_starts_a_new_pass(self, routes):
+        a, b = uniform_orbit(26, 2048), uniform_orbit(27, 2048)
+        schedule = tuple(2 ** p for p in range(2, 12))
+        assert_profile_matches_reference(a, b, schedule)
+        assert routes["single_n"] == [4, 2048]
 
 
 class TestCorrelationSum:

@@ -391,6 +391,8 @@ class TestCli:
          "zero-inflation closed form needs an i.i.d. source"),
         ({"experiment": "orbit_law", "system": {"kind": "perturbed_times_m"}},
          "orbit_law needs a deterministic map system"),
+        # a numeric theory does not skip the check that the specs fit together
+        ({"encoder": {"kind": "stretch", "weights": [1]}, "theory": 3.0}, "missing weight"),
     ])
     def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
         cfg = self._write_config(tmp_path, **override)
