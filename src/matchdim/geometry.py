@@ -1,43 +1,36 @@
 """Shortest distance between orbits and correlation-dimension estimation.
 
-The nearest-pair problem min_{i,j<n} d(a_i, b_j) has a quadratic reference
-(`shortest_distance`) and a sparse-grid fast path (`shortest_distance_fast`).
-The reference evaluates all n x n distances, a block of rows of a at a time
-(about 2^14 pair entries per block), so it runs no per-row Python loop.
+The nearest-pair problem min_{i,j<n} d(a_i, b_j) has a quadratic reference,
+`shortest_distance`, which evaluates the n x n distances in blocks of rows of
+a (about 2^14 entries each), so it runs no per-row Python loop.
 
-The fast path and the correlation sums share one neighbour engine,
-`_Grid.pairs`. One point set is bucketed into cells at least as wide as the search radius; for
-a query set, the engine yields every (query, bucketed) index pair whose cells
-differ by at most one in each axis, cyclically on the torus, in chunks of
-about 2^14 pairs. Any pair closer than the cell width is among them. On the
-torus each axis lists its shifts once modulo its cell count ({0} for one
-cell, {0, 1} for two, {-1, 0, 1} otherwise), so no pair is yielded twice.
+Every fast query rests on one primitive, `_close_pairs(pa, pb, space, r)`: it
+yields chunks (d, i, j) holding every pair within r. It buckets pb into one
+`_Grid` with cells just wider than r and takes the pairs whose cells differ by
+at most one in each axis, cyclically on the torus, where each axis lists its
+shifts once modulo its cell count, so no pair comes twice. An axis held in
+one cell, however narrow, puts every pair in neighbouring cells. Where the
+grid has at most three cells per axis, or a split axis narrower than r, row
+blocks of the full matrix serve instead. `_least_by_prefix` reduces the chunks
+to the least (d, i, j) with i, j < n for each n: in (d, i, j) order, the
+first pair with max(i, j) < n.
 
-The fast path takes its candidates from the engine and adapts the cell width
-(grown when nothing is found, set to the found distance when that exceeds
-the width) until the best candidate is no farther than the cell width, which
-certifies it: any pair outside the candidates is at least one full cell apart
-in some coordinate. Both routes fold the metric over coordinates in the same
-order and break ties the same way: the witness is the first (i, j) in
-row-major order among the minima, i.e. the least (distance, i, j) over all
-candidates, whatever their chunk or cell shift. They therefore return
-bitwise-identical distances and witnesses.
-
-A distance profile, m_n along a schedule of n values, takes one
-certified-radius pass. Since m_n never increases with n, r = m_{n0} from the
-fast path at the first scheduled n0 bounds every later minimum. One grid at
-N = max(schedule), with cells just wider than r, yields every pair within r;
-ordered by (d, i, j), the first of them with max(i, j) < n is the least
-(d, i, j) among the pairs with i, j < n, i.e. the reference's answer at n.
-Each n is instead searched on its own by the fast path where the pass could
-not certify or would go quadratic: r = 0, a coincident pair among the first
-N points, or a grid at r of at most three cells per axis.
+A single-n search widens w fourfold from 4 span n^(-2/dim) until some pair
+lies within w; the least of them is the least overall. A distance profile,
+m_n along a schedule, first gives m_n = 0 to each n, from the largest down,
+where `_common_point` finds a coincidence. The rest run in passes: since m_n
+never increases with n, r = m_{n0} from a single-n search at the pass's first
+n bounds every later minimum, and one `_close_pairs` call at r over the
+pass's largest n serves them all. `shortest_distance_fast` is the profile of
+one n. Every route folds the metric over coordinates in the same order, and
+the witness is the least (d, i, j), the reference's first minimum in
+row-major order, so the fast and reference answers are bitwise equal.
 
 Correlation sums (Grassberger-Procaccia) count the pairs i < j closer than r
-among the engine's pairs on one grid at the largest radius, and the
-correlation dimension is the least-squares slope (`fit_slope`, the package's
-one least-squares fit, which the harness also uses) of log-sum versus
-log-radius over a geometric radius window.
+among the close pairs at the largest radius, and the correlation dimension
+is the least-squares slope (`fit_slope`, the package's one least-squares fit,
+which the harness also uses) of log-sum versus log-radius over a geometric
+radius window.
 """
 
 from __future__ import annotations
@@ -134,11 +127,6 @@ def _fold_metric(deltas, space: str) -> np.ndarray:
     return acc if space == TORUS else np.sqrt(acc, out=acc)
 
 
-def _rows_dist(pa: np.ndarray, pb: np.ndarray, space: str) -> np.ndarray:
-    """d(pa[k], pb[k]) for aligned rows."""
-    return _fold_metric((pa[:, c] - pb[:, c] for c in range(pa.shape[1])), space)
-
-
 def _block_dist(pa: np.ndarray, pb: np.ndarray, space: str) -> np.ndarray:
     """The full matrix d(pa[i], pb[j]), shape (len(pa), len(pb))."""
     return _fold_metric((np.subtract.outer(pa[:, c], pb[:, c])
@@ -204,7 +192,10 @@ class _Grid:
 
     @property
     def min_width(self) -> float:
-        return float(self.widths.min())
+        """Narrowest cell of the axes split into more than one cell: an axis
+        held in one cell puts every pair in neighbouring cells, whatever its
+        width."""
+        return float(self.widths[self.k_axes > 1].min(initial=math.inf))
 
     @property
     def exhaustive(self) -> bool:
@@ -283,99 +274,97 @@ def _common_point(pa: np.ndarray, pb: np.ndarray) -> tuple[int, int] | None:
     return int(index[lead_a[k]]), int(index[lead_b[k]])
 
 
-def shortest_distance_fast(orbit_a: Orbit, orbit_b: Orbit, n: int) -> NearestPair:
-    """Grid-accelerated nearest pair; exact (bitwise equal to the reference)."""
-    pa, pb, space = _check_pair_inputs(orbit_a, orbit_b, n)
-    dim = pa.shape[1]
-    # coincident points collapse whole cells into quadratic candidate sets;
-    # resolve them exactly up front (distance zero implies bytewise equality)
-    hit = _common_point(pa, pb)
-    if hit is not None:
-        return NearestPair(0.0, hit)
-    mins, spans = _space_frame(space, pa, pb)
-    w = 4.0 * float(spans.max()) * n ** (-2.0 / dim)
-    for _ in range(256):
-        w = min(w, float(spans.max()))
-        grid = _Grid(pb, w, space, mins, spans)
-        if grid.exhaustive:
-            return shortest_distance(orbit_a, orbit_b, n)
-        best = math.inf
-        bi = bj = -1
-        for i, j in grid.pairs(pa):
-            d = _rows_dist(pa[i], pb[j], space)
-            k = np.lexsort((j, i, d))[0]
-            if (d[k], i[k], j[k]) < (best, bi, bj):
-                best, bi, bj = float(d[k]), int(i[k]), int(j[k])
-        if best == math.inf:
-            w *= 4.0
-            continue
-        if best <= grid.min_width:
-            return NearestPair(best, (bi, bj))
-        w = best  # next round certifies: cell width >= found distance >= true min
-    raise ArithmeticError("grid search failed to certify a nearest pair")
+def _close_pairs(pa: np.ndarray, pb: np.ndarray, space: str, r: float):
+    """Chunks (d, i, j) holding every pair of pa x pb with d(pa[i], pb[j]) <= r.
 
-
-def _certified_pass(pa: np.ndarray, pb: np.ndarray, space: str, ns: list[int],
-                    r: float) -> list[NearestPair] | None:
-    """The least (d, i, j) with i, j < n for each n in ns, from every pair of
-    pa x pb within r; None when a grid at r cannot certify or would go
-    quadratic. r must bound each of these minima."""
+    The pairs come from one grid with cells just wider than r, so a pair at
+    exactly r lies in neighbouring cells, or, where that grid covers the space
+    or a split axis is narrower than r, from row blocks of the full matrix.
+    """
     mins, spans = _space_frame(space, pa, pb)
-    # cells just wider than r, so a pair at exactly r lies in neighbouring cells
     grid = _Grid(pb, float(np.nextafter(r, math.inf)) * (1.0 + 1e-12), space, mins, spans)
     if grid.exhaustive or grid.min_width < r:
-        return None
-    kept = []
+        rows = max(1, _BLOCK_ENTRIES // len(pb))
+        for i0 in range(0, len(pa), rows):
+            d = _block_dist(pa[i0:i0 + rows], pb, space)
+            i, j = np.nonzero(d <= r)
+            yield d[i, j], i + i0, j
+        return
     for i, j in grid.pairs(pa):
-        d = _rows_dist(pa[i], pb[j], space)
-        near = d <= r
-        kept.append((d[near], i[near], j[near]))
-    d, i, j = (np.concatenate(parts) for parts in zip(*kept))
-    order = np.lexsort((j, i, d))
-    # running least max(i, j) along (d, i, j) order: the first position where
-    # it drops below n is the least (d, i, j) among the pairs with i, j < n
-    reach = np.minimum.accumulate(np.maximum(i, j)[order])
-    at = order[np.searchsorted(-reach, -np.asarray(ns), side="right")]
-    return [NearestPair(float(dk), (int(ik), int(jk)))
-            for dk, ik, jk in zip(d[at], i[at], j[at])]
+        d = _fold_metric((pa[i, c] - pb[j, c] for c in range(pa.shape[1])), space)
+        near = np.flatnonzero(d <= r)
+        yield d[near], i[near], j[near]
+
+
+def _least_by_prefix(chunks, ns: list[int]) -> list[NearestPair | None]:
+    """The least (d, i, j) with i, j < n for each n in ns; None for an n that
+    no pair in chunks serves. Each chunk is cut to its own per-n winners."""
+    best = [(math.inf, -1, -1)] * len(ns)
+    for d, i, j in chunks:
+        order = np.lexsort((j, i, d))
+        # running least max(i, j) along (d, i, j) order: the first position
+        # where it drops below n is the least (d, i, j) among pairs with i, j < n
+        reach = np.minimum.accumulate(np.maximum(i, j)[order])
+        at = np.searchsorted(-reach, -np.asarray(ns), side="right")
+        for k, a in enumerate(at.tolist()):
+            if a < order.size:
+                o = order[a]
+                best[k] = min(best[k], (float(d[o]), int(i[o]), int(j[o])))
+    return [NearestPair(dk, (ik, jk)) if ik >= 0 else None for dk, ik, jk in best]
+
+
+def _nearest(pa: np.ndarray, pb: np.ndarray, space: str, n: int) -> NearestPair:
+    """The least (d, i, j) with i, j < n: the search width w grows fourfold
+    from a first guess until some pair lies within it, which certifies the
+    least pair within w as the least overall."""
+    pa, pb = pa[:n], pb[:n]
+    w = 4.0 * float(_space_frame(space, pa, pb)[1].max()) * n ** (-2.0 / pa.shape[1])
+    while (found := _least_by_prefix(_close_pairs(pa, pb, space, w), [n])[0]) is None:
+        w *= 4.0  # ends: once the grid covers the space, the blocks hold every pair
+    return found
+
+
+def shortest_distance_fast(orbit_a: Orbit, orbit_b: Orbit, n: int) -> NearestPair:
+    """Grid-accelerated nearest pair; exact (bitwise equal to the reference)."""
+    prof = distance_profile(orbit_a, orbit_b, (n,))
+    return NearestPair(float(prof.m_values[0]), prof.witnesses[0])
 
 
 def distance_profile(orbit_a: Orbit, orbit_b: Orbit, schedule) -> DistanceProfile:
     """m_n and its witness at each scheduled n; bitwise equal to
     `shortest_distance` at each n.
 
-    One certified-radius pass (see the module docstring) serves every n up
-    to _PASS_SPAN * n0. It keeps about (N / n0)^2 pairs, so a schedule that
-    reaches further starts a new pass, with its own single-n search, at the
-    first n beyond that.
+    Coincident n are answered by `_common_point`; one pass (see the module
+    docstring) serves every other n up to _PASS_SPAN * n0. It keeps about
+    (N / n0)^2 pairs, so a schedule that reaches further starts a new pass,
+    with its own single-n search, at the first n beyond that.
     """
     ns = [int(n) for n in schedule]
     if any(b <= a for a, b in zip(ns, ns[1:])) or (ns and ns[0] < 1):
         raise ValueError("schedule must be strictly increasing and positive")
+    pa, pb, space = _check_pair_inputs(orbit_a, orbit_b, ns[-1] if ns else 1)
+    # a coincidence at n persists at every later n: trim them from the top
+    rest, coincident = len(ns), []
+    while rest and (hit := _common_point(pa[:ns[rest - 1]], pb[:ns[rest - 1]])) is not None:
+        rest -= 1
+        coincident.insert(0, NearestPair(0.0, hit))
     found: list[NearestPair] = []
-    while len(found) < len(ns):
-        n0 = ns[len(found)]
-        part = ns[len(found):bisect.bisect_right(ns, _PASS_SPAN * n0)]
-        first = shortest_distance_fast(orbit_a, orbit_b, n0)
-        pa, pb, space = _check_pair_inputs(orbit_a, orbit_b, part[-1])
-        certified = None
-        if len(part) > 1 and first.distance > 0 and _common_point(pa, pb) is None:
-            certified = _certified_pass(pa, pb, space, part, first.distance)
-        found += certified or [first] + [shortest_distance_fast(orbit_a, orbit_b, n)
-                                         for n in part[1:]]
+    while len(found) < rest:
+        part = ns[len(found):bisect.bisect_right(ns, _PASS_SPAN * ns[len(found)], hi=rest)]
+        first = _nearest(pa, pb, space, part[0])
+        found += [first] if len(part) == 1 else _least_by_prefix(
+            _close_pairs(pa[:part[-1]], pb[:part[-1]], space, first.distance), part)
+    found += coincident
     m_values = np.array([p.distance for p in found], dtype=float)
     m_values.flags.writeable = False
     return DistanceProfile(tuple(ns), m_values, tuple(p.witness for p in found))
 
 
 def _pair_counts_below(pts: np.ndarray, radii: np.ndarray, space: str) -> np.ndarray:
-    """#{i<j : d(p_i, p_j) < r} for each r, via one grid at max(radii)."""
-    grid = _Grid(pts, float(radii.max()), space, *_space_frame(space, pts))
+    """#{i<j : d(p_i, p_j) < r} for each r, among the pairs within max(radii)."""
     counts = np.zeros(radii.size, dtype=np.int64)
-    for i, j in grid.pairs(pts):
-        keep = i < j
-        d = _rows_dist(pts[i[keep]], pts[j[keep]], space)
-        counts += np.searchsorted(np.sort(d), radii)  # left side: #{d < r}
+    for d, i, j in _close_pairs(pts, pts, space, float(radii.max())):
+        counts += np.searchsorted(np.sort(d[i < j]), radii)  # left side: #{d < r}
     return counts
 
 

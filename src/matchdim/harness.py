@@ -495,11 +495,13 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
                    f"{bad_distance} distance and {bad_witness} witness mismatches"))
 
     bad_distance = bad_witness = 0
-    for _ in range(30):
+    for t in range(40):
         n = int(rng.integers(16, 513))
         dim = int(rng.integers(1, 3))
         space = (dynamics.TORUS, dynamics.CUBE)[int(rng.integers(2))]
         scale = 1.0 if space == dynamics.TORUS else float(rng.uniform(0.5, 4.0))
+        if t >= 30:  # cube orbits whose second coordinate spans 0 or 1e-9
+            dim, space, scale = 2, dynamics.CUBE, np.array([scale, 1e-9 * (t % 2)])
         a = dynamics.Orbit(scale * rng.random((n, dim)), space)
         b = dynamics.Orbit(scale * rng.random((n, dim)), space)
         schedule = np.unique(np.r_[rng.integers(8, n + 1, size=4), n])
@@ -508,7 +510,8 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
             ref = geometry.shortest_distance(a, b, int(k))
             bad_distance += ref.distance != m
             bad_witness += ref.witness != witness
-    checks.append(("distance-profile / per-n reference equivalence (30 instances)",
+    checks.append(("distance-profile / per-n reference equivalence "
+                   "(40 instances, 10 with a flat cube axis)",
                    bad_distance == 0 and bad_witness == 0,
                    f"{bad_distance} distance and {bad_witness} witness mismatches"))
 

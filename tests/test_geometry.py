@@ -178,22 +178,43 @@ def assert_profile_matches_reference(a, b, schedule):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Records each certified pass (True when it certified) and the n of
-    each single-n search that distance_profile makes."""
-    seen = {"passes": [], "single_n": []}
-    certified_pass, single_n = geometry._certified_pass, geometry.shortest_distance_fast
+    """Records the n of each single-n search, each other `_close_pairs` call
+    (a pass) as (N, r, route), route "grid" or "block" by which of the two
+    served it, and each n whose coincidence `_common_point` found."""
+    seen = {"single_n": [], "passes": [], "coincident": []}
+    nearest, close_pairs = geometry._nearest, geometry._close_pairs
+    common_point, grid_pairs = geometry._common_point, geometry._Grid.pairs
+    searching, served = [], []
 
-    def spy_pass(*args):
-        found = certified_pass(*args)
-        seen["passes"].append(found is not None)
-        return found
-
-    def spy_single_n(orbit_a, orbit_b, n):
+    def spy_nearest(pa, pb, space, n):
         seen["single_n"].append(n)
-        return single_n(orbit_a, orbit_b, n)
+        searching.append(n)
+        try:
+            return nearest(pa, pb, space, n)
+        finally:
+            searching.pop()
 
-    monkeypatch.setattr(geometry, "_certified_pass", spy_pass)
-    monkeypatch.setattr(geometry, "shortest_distance_fast", spy_single_n)
+    def spy_close_pairs(pa, pb, space, r):
+        served.append("block")
+        yield from close_pairs(pa, pb, space, r)
+        route = served.pop()
+        if not searching:
+            seen["passes"].append((len(pa), r, route))
+
+    def spy_grid_pairs(grid, query):
+        served[-1] = "grid"
+        return grid_pairs(grid, query)
+
+    def spy_common_point(pa, pb):
+        hit = common_point(pa, pb)
+        if hit is not None:
+            seen["coincident"].append(len(pa))
+        return hit
+
+    monkeypatch.setattr(geometry, "_nearest", spy_nearest)
+    monkeypatch.setattr(geometry, "_close_pairs", spy_close_pairs)
+    monkeypatch.setattr(geometry._Grid, "pairs", spy_grid_pairs)
+    monkeypatch.setattr(geometry, "_common_point", spy_common_point)
     return seen
 
 
@@ -215,8 +236,9 @@ class TestCertifiedPass:
 
     def test_one_single_n_search_then_one_pass(self, routes):
         a, b = uniform_orbit(20, 4096), uniform_orbit(21, 4096)
-        assert_profile_matches_reference(a, b, (64, 256, 1024, 4096))
-        assert routes == {"passes": [True], "single_n": [64]}
+        prof = assert_profile_matches_reference(a, b, (64, 256, 1024, 4096))
+        assert routes == {"single_n": [64], "passes": [(4096, prof.m_values[0], "grid")],
+                          "coincident": []}
 
     def test_pair_at_exactly_the_radius(self, routes):
         # with cells exactly as wide as r, rounding in (x - min) / width puts
@@ -228,7 +250,7 @@ class TestCertifiedPass:
         b = Orbit(np.array([[y], [high]]), space="cube")
         prof = assert_profile_matches_reference(a, b, (1, 2))
         assert prof.witnesses == ((0, 0), (0, 0))
-        assert routes["passes"] == [True]
+        assert routes["passes"] == [(2, y - x, "grid")]
 
     def test_coincidence_after_the_first_n(self, routes):
         rng = np.random.default_rng(22)
@@ -237,16 +259,19 @@ class TestCertifiedPass:
         a, b = Orbit(pa), Orbit(pb)
         prof = assert_profile_matches_reference(a, b, (32, 128, 512))
         assert prof.m_values[-1] == 0.0 and prof.m_values[0] > 0.0
-        assert routes == {"passes": [], "single_n": [32, 128, 512]}
+        assert routes == {"single_n": [32], "passes": [(128, prof.m_values[0], "grid")],
+                          "coincident": [512]}
 
     @pytest.mark.parametrize("space", ["torus", "cube"])
     def test_exhaustive_grid_at_the_radius(self, routes, space):
-        # n0 = 1 puts r near the typical distance: at most three cells per axis
+        # n0 = 1 puts r near the typical distance: at most three cells per
+        # axis; 300 lies beyond _PASS_SPAN * n0 and is searched on its own
         rng = np.random.default_rng(23)
         a = Orbit(rng.random((300, 1)), space=space)
         b = Orbit(rng.random((300, 1)), space=space)
-        assert_profile_matches_reference(a, b, (1, 10, 300))
-        assert routes == {"passes": [False], "single_n": [1, 10, 300]}
+        prof = assert_profile_matches_reference(a, b, (1, 10, 300))
+        assert routes == {"single_n": [1, 300], "passes": [(10, prof.m_values[0], "block")],
+                          "coincident": []}
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cube_with_non_unit_spans(self, routes, dim):
@@ -254,8 +279,21 @@ class TestCertifiedPass:
         spans = np.array([7.0, 0.3])[:dim]
         a = Orbit(rng.random((1500, dim)) * spans - 2.0, space="cube")
         b = Orbit(rng.random((1500, dim)) * spans + 0.1, space="cube")
-        assert_profile_matches_reference(a, b, (50, 200, 800, 1500))
-        assert routes["passes"] == [True]
+        prof = assert_profile_matches_reference(a, b, (50, 200, 800, 1500))
+        assert routes["passes"] == [(1500, prof.m_values[0], "grid")]
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-9])
+    def test_flat_cube_axis(self, routes, spread):
+        # the second axis, narrower than r, is held in one cell; its width
+        # must not keep the grid on the first axis from serving the pass
+        rng = np.random.default_rng(28)
+        pa, pb = rng.random((500, 2)), rng.random((500, 2))
+        pa[:, 1] *= spread
+        pb[:, 1] *= spread
+        a, b = Orbit(pa, space="cube"), Orbit(pb, space="cube")
+        assert shortest_distance_fast(a, b, 500) == shortest_distance(a, b, 500)
+        prof = assert_profile_matches_reference(a, b, (20, 100, 500))
+        assert routes["passes"] == [(500, prof.m_values[0], "grid")]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_equal_distance_ties(self, routes, dim):
@@ -271,13 +309,14 @@ class TestCertifiedPass:
         prof = assert_profile_matches_reference(a, b, schedule)
         assert len(set(prof.m_values.tolist())) == 1
         assert len(set(prof.witnesses)) > 1
-        assert routes["passes"] == [True]
+        assert routes["passes"] == [(600, prof.m_values[0], "grid")]
 
     def test_a_long_schedule_starts_a_new_pass(self, routes):
         a, b = uniform_orbit(26, 2048), uniform_orbit(27, 2048)
         schedule = tuple(2 ** p for p in range(2, 12))
-        assert_profile_matches_reference(a, b, schedule)
+        prof = assert_profile_matches_reference(a, b, schedule)
         assert routes["single_n"] == [4, 2048]
+        assert routes["passes"] == [(1024, prof.m_values[0], "grid")]
 
 
 class TestCorrelationSum:

@@ -201,6 +201,17 @@ class TestRun:
         assert result.passed
         assert result.theory_limit is None
 
+    def test_orbit_with_a_flat_observed_axis(self):
+        # the second observed coordinate is identically 0, so the cube frame
+        # has an axis of no width; a numeric theory skips the dimension
+        # estimate, whose 10^5-point pair count is not what is tested here
+        plan = ExperimentPlan(kind="orbit_law", schedule=(256, 512, 1024, 2048),
+                              trials=2, master_seed=5, system={"kind": "times_m", "m": 2},
+                              observation={"kind": "lipschitz_affine",
+                                           "matrix": [[1.0], [0.0]]}, theory=2.0)
+        result = run(plan)
+        assert len(result.rows) == 8 and result.fit is not None
+
     def test_entropy_check_structure(self):
         plan = ExperimentPlan(kind="entropy_check", schedule=(1,), trials=1,
                               master_seed=9, sample_length=20_000,
