@@ -13,8 +13,9 @@ Closed forms covered:
   to 1e-9.
 
 Empirical estimates plug observed block frequencies into -log(collision)/k
-and select a plateau block length k automatically; the plateau scan counts
-each k once, on the window codes of `sources.anchored_window_codes`.
+and select a plateau block length k automatically; the plateau sorts the
+codes of its longest windows once and counts every shorter k from their
+prefixes.
 
 All entropies are in nats.
 """
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import (SymbolSeq, anchored_window_codes, collision_sum, symbol_weights,
-                      window_counts, _check_block_len, _check_probability_vector,
-                      _check_stochastic)
+from .sources import (SymbolSeq, collision_sum, symbol_weights, window_counts,
+                      _check_block_len, _check_probability_vector, _check_stochastic)
 
 EIGEN_ROOT_ATOL = 1e-9
 
@@ -232,6 +232,40 @@ def renyi2_empirical(seq: SymbolSeq, k: int) -> EntropyEstimate:
     return _plug_in(window_counts(seq, k), k)
 
 
+def _padded_window_codes(x: np.ndarray, size: int, K: int
+                         ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact codes of the K-windows of x at every start, zero past its end.
+
+    Returns the codes, a spare buffer of their size and a base such that
+    code // base^(K-k) codes the k-window, for every 2 <= k <= K <= x.size,
+    in the lexicographic order of the windows. The codes are base-size
+    numbers, built by doubling: code_2s(i) = code_s(i) size^s + code_s(i+s).
+    Where size^K passes 2^62 (hard_cap < 3 forced K = 3), the leading two
+    symbols are replaced by the rank of their pair, which is below x.size.
+    """
+    n = x.size
+    if size ** K > 2 ** 62:
+        if size >= 2 ** 31:  # rank the symbols, so that pair codes stay below 2^62
+            x = np.unique(x, return_inverse=True)[1]
+            size = int(x.max()) + 1
+        pairs = x * size
+        pairs[:-1] += x[1:]
+        codes = np.unique(pairs, return_inverse=True)[1] * size ** (K - 2)
+        if K == 3:
+            codes[:-2] += x[2:]
+        return codes, np.empty_like(codes), size
+    codes, spare, span = x.copy(), np.empty_like(x), 1
+    for bit in bin(K)[3:]:
+        np.multiply(codes, size ** span, out=spare)
+        spare[:n - span] += codes[span:]
+        codes, spare, span = spare, codes, 2 * span
+        if bit == "1":
+            codes *= size
+            codes[:n - span] += x[span:]
+            span += 1
+    return codes, spare, size
+
+
 def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
                       ) -> tuple[EntropyEstimate, list[EntropyEstimate]]:
     """Empirical estimate at an automatically selected block length.
@@ -244,19 +278,31 @@ def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
     and 256 (k = 3 is always tried). The reported k then minimizes the step
     |H(k+1) - H(k)| over that range: the flattest step is the best tradeoff.
 
-    Each k extends the exact codes of `anchored_window_codes` (all-ones
-    mask) by one symbol and counts them once. Every row equals
+    One sort serves every k: the exact codes of the zero-padded K-windows
+    (K the largest k tried) are sorted once, and the k-windows are their
+    k-prefixes, counted between the places where adjacent prefixes differ,
+    less the k - 1 windows that run into the padding. Every row equals
     `renyi2_empirical(seq, k)`.
     """
     _check_block_len(seq, 2)
-    size = seq.alphabet.size
-    hard_cap = min(int(62 / math.log2(max(size, 2))), seq.length // 4, 256)
-    windows = seq.length  # within a factor of the window count for k << n
+    n, size = seq.length, seq.alphabet.size
+    hard_cap = min(int(62 / math.log2(max(size, 2))), n // 4, 256)
+    K = min(max(hard_cap, 3), n)
+    codes, spare, base = _padded_window_codes(seq.data, size, K)
+    padded = codes[n - K + 1:].copy()  # the windows starting at n-K+1 .. n-1
+    codes.sort()
+    padded = np.searchsorted(codes, padded)  # their places in sorted order
+    new_group = np.ones(n + 1, dtype=bool)  # new_group[n] closes the last group
+    windows = n  # within a factor of the window count for k << n
     table: list[EntropyEstimate] = []
-    codes = anchored_window_codes(seq.data[None], [np.broadcast_to(True, seq.length)], size)
-    next(codes)  # the 1-windows
-    for k, (c,) in zip(range(2, max(hard_cap, 3) + 1), codes):
-        est = _plug_in(np.unique(c, return_counts=True)[1], k)
+    for k in range(2, K + 1):
+        prefixes = np.floor_divide(codes, base ** (K - k), out=spare)
+        np.not_equal(prefixes[1:], prefixes[:-1], out=new_group[1:n])
+        starts = np.flatnonzero(new_group)
+        counts = np.subtract(starts[1:], starts[:-1], out=spare[:starts.size - 1])
+        np.subtract.at(counts, np.searchsorted(starts, padded[K - k:], side="right") - 1, 1)
+        del starts  # freed before the copies below: they set the peak memory
+        est = _plug_in(counts if counts.all() else counts[counts > 0], k)
         table.append(est)
         if est.collision * windows < min_coincidences:
             break

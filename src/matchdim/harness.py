@@ -27,6 +27,7 @@ trial order, making CSV output byte-identical across thread counts.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -373,7 +374,9 @@ def estimate_orbit_dimension(plan: ExperimentPlan, n_points: int = 100_000,
     observed = _observed_orbit(plan, n_points + burn_in,
                                spawn_seed(plan.master_seed, _DIM_ESTIMATE_KEY))
     pts = observed.points[burn_in:]
-    r_lo, r_hi = geometry.default_radius_window(pts.shape[0], pts.shape[1])
+    # a Lipschitz observation cannot raise the dimension of the orbit it observes
+    dim = min(pts.shape[1], _build_system(plan.system).dim)
+    r_lo, r_hi = geometry.default_radius_window(pts.shape[0], dim)
     return geometry.correlation_dimension(pts, r_lo, r_hi, space=observed.space)
 
 
@@ -581,6 +584,21 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
             mismatches += not np.array_equal(register, loop)
     checks.append(("orbit shift-register/integer-loop equivalence (m = 2, 4, 8)",
                    mismatches == 0, f"{mismatches} mismatches"))
+
+    # the oracle warns on every undersampled k; the rows themselves are compared
+    mismatches = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for t in range(60):
+            size, n = int(rng.integers(1, 6)), int(rng.integers(5, 5001))
+            data = rng.integers(0, size, n)
+            if t % 2:  # end in a run of zeros, which the padding collides with
+                data[n - int(rng.integers(1, 100)):] = 0
+            seq = sources.SymbolSeq(sources.Alphabet(size), data)
+            _, table = entropy.empirical_plateau(seq)
+            mismatches += sum(est != entropy.renyi2_empirical(seq, est.k) for est in table)
+    checks.append(("entropy plateau / per-k oracle equivalence (60 sequences)",
+                   mismatches == 0, f"{mismatches} mismatched rows"))
 
     return SelfTestReport(checks)
 

@@ -10,7 +10,7 @@ This module provides:
 - Exact window classes of any length by prefix doubling (`WindowClasses`),
   shared by window counts and the substring matcher.
 - Exact mask-anchored window codes for k = 1, 2, ... (`anchored_window_codes`),
-  shared by the masked matcher and the entropy plateau.
+  the scan of the masked matcher.
 - Stationary distributions of finite chains via power iteration.
 """
 
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_ATOL = 1e-12
+_SAMPLE_CHUNK = 1 << 12  # uniforms walked per chunk by the Markov sampler
 
 
 @dataclass(frozen=True)
@@ -185,11 +186,15 @@ def sample(source: IIDSource | MarkovSource, n: int, seed: int) -> SymbolSeq:
         rows = [tuple(np.cumsum(P[i])[:-1]) for i in range(d)]
         init_cum = np.cumsum(source.initial)
         state = int(_inverse_cdf(init_cum, u[:1])[0])
-        states = [state]
-        for x in u[1:].tolist():
-            state = bisect.bisect_right(rows[state], x)
-            states.append(state)
-        data = np.array(states, dtype=np.int64)
+        data = np.empty(n, dtype=np.int64)
+        data[0] = state
+        # fixed chunks bound the Python floats and ints alive at once
+        for lo in range(1, n, _SAMPLE_CHUNK):
+            states = []
+            for x in u[lo:lo + _SAMPLE_CHUNK].tolist():
+                state = bisect.bisect_right(rows[state], x)
+                states.append(state)
+            data[lo:lo + len(states)] = states
     else:
         raise ValueError(f"unsupported source type: {type(source).__name__}")
     return SymbolSeq(Alphabet(int(source.alphabet.size)), data)

@@ -205,8 +205,9 @@ class TestEmpirical:
 
     @pytest.mark.filterwarnings("ignore:sequence length:RuntimeWarning")
     @pytest.mark.parametrize("case", ["iid2", "markov2", "markov3", "iid10",
-                                      "dirac", "const1", "const2", "huge"])
-    @pytest.mark.parametrize("n", [5, 12, 40, 1000, 20_000])
+                                      "dirac", "const1", "const2", "huge",
+                                      "const3", "zero_tail", "forced_k3"])
+    @pytest.mark.parametrize("n", [5, 12, 40, 200, 1000, 20_000])
     def test_plateau_rows_equal_the_from_scratch_oracle(self, case, n):
         P = np.array([[0.9, 0.1], [0.3, 0.7]])
         P3 = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])
@@ -219,7 +220,15 @@ class TestEmpirical:
                "const2": lambda: SymbolSeq.from_symbols([1] * n, 2),
                # symbols past 2^31 are ranked before their codes are packed
                "huge": lambda: SymbolSeq(Alphabet(2 ** 40), np.random.default_rng(8).choice(
-                   [0, 2 ** 31 + 7, 2 ** 40 - 1], n))}[case]()
+                   [0, 2 ** 31 + 7, 2 ** 40 - 1], n)),
+               # from n = 156 on, k runs to the cap 39 = int(62 / log2 3)
+               "const3": lambda: SymbolSeq.from_symbols([2] * n, 3),
+               # the zero-padded windows at the end equal real all-zero windows
+               "zero_tail": lambda: SymbolSeq(Alphabet(2), np.r_[
+                   np.random.default_rng(9).integers(0, 2, max(n - 70, 0)), [0] * min(n, 70)]),
+               # hard_cap = int(62 / 25) = 2, so k = 3 is forced past 2^62 codes
+               "forced_k3": lambda: SymbolSeq(Alphabet(2 ** 25), np.random.default_rng(10).choice(
+                   [0, 2 ** 24 + 3, 2 ** 25 - 1], n))}[case]()
         plateau, table = empirical_plateau(seq)
         assert [est.k for est in table] == list(range(2, len(table) + 2))
         assert plateau in table
@@ -228,6 +237,20 @@ class TestEmpirical:
             blocks = (block_counts(seq, est.k) if seq.alphabet.size <= 256 else
                       {tuple(seq.data[i:i + est.k]) for i in range(n - est.k + 1)})
             assert est.distinct_blocks == len(blocks)
+
+    @pytest.mark.filterwarnings("ignore:sequence length:RuntimeWarning")
+    def test_plateau_past_2_to_the_62_with_many_distinct_symbols(self):
+        # over 2^20.67 distinct symbols past 2^31: ranked 3-window codes would
+        # pass 2^62, and min_coincidences = 0 forces k = 3
+        n = 1_800_000
+        data = np.random.default_rng(11).permutation(n) * 2 ** 19
+        data[-99_999:] = data[:99_999]
+        data[-99_997::3] += 1  # the repeated pairs continue with new symbols
+        seq = SymbolSeq(Alphabet(2 ** 40), data)
+        plateau, table = empirical_plateau(seq, min_coincidences=0.0)
+        assert [est.k for est in table] == [2, 3]
+        for est in table:
+            assert est == renyi2_empirical(seq, est.k)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_plateau_rejects_sequences_shorter_than_two(self, n):

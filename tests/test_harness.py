@@ -212,6 +212,17 @@ class TestRun:
         result = run(plan)
         assert len(result.rows) == 8 and result.fit is not None
 
+    def test_dimension_of_an_orbit_laid_into_the_plane(self):
+        # the radius window follows the system's dimension, not the ambient
+        # one, so the estimate on the line sees pairs at the scale of a line
+        plan = ExperimentPlan(kind="orbit_law", schedule=(256, 512, 1024, 2048),
+                              trials=2, master_seed=5, system={"kind": "times_m", "m": 2},
+                              observation={"kind": "lipschitz_affine",
+                                           "matrix": [[1.0], [0.0]]})
+        result = run(plan)
+        assert result.details["estimated_dimension"] == pytest.approx(1.0, abs=0.02)
+        assert result.theory_limit == pytest.approx(2.0 / result.details["estimated_dimension"])
+
     def test_entropy_check_structure(self):
         plan = ExperimentPlan(kind="entropy_check", schedule=(1,), trials=1,
                               master_seed=9, sample_length=20_000,
