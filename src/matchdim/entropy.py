@@ -14,8 +14,8 @@ Closed forms covered:
 
 Empirical estimates plug observed block frequencies into -log(collision)/k
 and select a plateau block length k automatically; the plateau sorts the
-codes of its longest windows once and counts every shorter k from their
-prefixes.
+codes of its longest windows (`sources._padded_window_codes`) once and
+counts every shorter k from their prefixes.
 
 All entropies are in nats.
 """
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sources import (SymbolSeq, collision_sum, symbol_weights, window_counts,
-                      _check_block_len, _check_probability_vector, _check_stochastic)
+                      _check_block_len, _check_probability_vector, _check_stochastic,
+                      _padded_window_codes)
 
 EIGEN_ROOT_ATOL = 1e-9
 
@@ -230,40 +231,6 @@ def renyi2_empirical(seq: SymbolSeq, k: int) -> EntropyEstimate:
             f"for k={k}; estimate may be undersampled", RuntimeWarning,
             stacklevel=2)
     return _plug_in(window_counts(seq, k), k)
-
-
-def _padded_window_codes(x: np.ndarray, size: int, K: int
-                         ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact codes of the K-windows of x at every start, zero past its end.
-
-    Returns the codes, a spare buffer of their size and a base such that
-    code // base^(K-k) codes the k-window, for every 2 <= k <= K <= x.size,
-    in the lexicographic order of the windows. The codes are base-size
-    numbers, built by doubling: code_2s(i) = code_s(i) size^s + code_s(i+s).
-    Where size^K passes 2^62 (hard_cap < 3 forced K = 3), the leading two
-    symbols are replaced by the rank of their pair, which is below x.size.
-    """
-    n = x.size
-    if size ** K > 2 ** 62:
-        if size >= 2 ** 31:  # rank the symbols, so that pair codes stay below 2^62
-            x = np.unique(x, return_inverse=True)[1]
-            size = int(x.max()) + 1
-        pairs = x * size
-        pairs[:-1] += x[1:]
-        codes = np.unique(pairs, return_inverse=True)[1] * size ** (K - 2)
-        if K == 3:
-            codes[:-2] += x[2:]
-        return codes, np.empty_like(codes), size
-    codes, spare, span = x.copy(), np.empty_like(x), 1
-    for bit in bin(K)[3:]:
-        np.multiply(codes, size ** span, out=spare)
-        spare[:n - span] += codes[span:]
-        codes, spare, span = spare, codes, 2 * span
-        if bit == "1":
-            codes *= size
-            codes[:n - span] += x[span:]
-            span += 1
-    return codes, spare, size
 
 
 def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0

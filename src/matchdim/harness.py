@@ -483,6 +483,24 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
     checks.append(("lcs fast/reference equivalence (300 pairs)",
                    mismatches == 0, f"{mismatches} mismatches"))
 
+    # near copies: matches pass the packed span (62 binary symbols) and twice it
+    mismatches = longest = 0
+    for _ in range(20):
+        size, n = int(rng.integers(2, 5)), int(rng.integers(150, 401))
+        xd = rng.integers(0, size, n)
+        yd = xd.copy()
+        at = rng.integers(0, n, int(rng.integers(1, 4)))
+        yd[at] = (yd[at] + rng.integers(1, size, at.size)) % size
+        x, y = (sources.SymbolSeq(sources.Alphabet(size), d) for d in (xd, yd))
+        ref = matching.lcs_oracle(x, y)
+        longest = max(longest, ref.length)
+        schedule = np.unique(np.r_[rng.integers(1, n + 1, size=4), n]).tolist()
+        mismatches += matching.lcs_fast(x, y) != ref
+        mismatches += matching.lcs_lengths_over_schedule(x, y, schedule) != [
+            matching.lcs_oracle(x.prefix(m), y.prefix(m)).length for m in schedule]
+    checks.append(("long-match lcs fast/schedule/reference equivalence (20 near copies)",
+                   mismatches == 0, f"{mismatches} mismatches, longest match {longest}"))
+
     bad_distance = bad_witness = 0
     for _ in range(150):
         n = int(rng.integers(2, 513))

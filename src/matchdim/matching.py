@@ -2,8 +2,9 @@
 
 Two routes are provided for the longest common substring of two symbol
 sequences: a quadratic dynamic-programming oracle (`lcs_oracle`) and a fast
-path (`lcs_fast`) built on exact window classes of the concatenated pair
-(`sources.WindowClasses`). A k-window match exists when the sorted,
+path (`lcs_fast`) built on exact window keys of the concatenated pair
+(`sources.WindowClasses`: packed base-size codes for windows up to 62 bits,
+prefix-doubling ranks past them). A k-window match exists when the sorted,
 side-tagged keys of the two sequences meet (`_keys_meet`); the longest k is
 found by an exponential probe then a bisection. Masked matching scans k up
 over `sources.anchored_window_codes` with the same test. The fast path is
@@ -158,8 +159,8 @@ def lcs_lengths_over_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]
     """Longest-common-substring lengths of matched prefixes for each n in schedule.
 
     One set of window classes over x[:top] ++ y[:top], top = max(schedule),
-    serves every n; its doubling levels are built only as deep as the longest
-    match.
+    serves every n; it sorts only for matches longer than its packed span,
+    and its ranked levels are built only as deep as the longest match.
     """
     _check_pair(x, y)
     ns = _check_schedule(schedule, min(x.length, y.length))

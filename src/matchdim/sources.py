@@ -7,8 +7,12 @@ This module provides:
   using one inverse-CDF uniform per emitted symbol.
 - Overlapping window (block) counts and the collision sum sum_B (N_B / M)^2
   over observed length-k blocks, the plug-in ingredient of the order-2 rate.
-- Exact window classes of any length by prefix doubling (`WindowClasses`),
-  shared by window counts and the substring matcher.
+- Exact codes of the zero-padded windows of one length at every start, built
+  by doubling with no sort (`_padded_window_codes`), shared by the window
+  classes and the entropy plateau.
+- Exact window keys of any length (`WindowClasses`), shared by window counts
+  and the substring matcher: packed codes up to 62 bits, prefix-doubling
+  ranks past them.
 - Exact mask-anchored window codes for k = 1, 2, ... (`anchored_window_codes`),
   the scan of the masked matcher.
 - Stationary distributions of finite chains via power iteration.
@@ -225,15 +229,56 @@ def block_counts(seq: SymbolSeq, k: int) -> dict[bytes, int]:
     return counts
 
 
-class WindowClasses:
-    """Exact class ids of the overlapping windows of one symbol array.
+def _padded_window_codes(x: np.ndarray, size: int, K: int
+                         ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact codes of the K-windows of x at every start, zero past its end.
 
-    Prefix doubling (Manber-Myers 1993): level 0 holds the symbols, and level
-    j+1 holds the dense ranks of the pairs (id_j[i], id_j[i + 2^j]). Two
-    2^j-windows share an id exactly when they are equal, and ids follow the
-    lexicographic order of the windows. A k-window with 2^j <= k < 2^(j+1)
-    then has the exact key (id_j[i], id_j[i + k - 2^j]), packed into one
-    int64. Levels are built lazily, only as deep as the longest window asked
+    Returns the codes, a spare buffer of their size and a base such that
+    code // base^(K-k) codes the k-window, for every 2 <= k <= K <= x.size,
+    in the lexicographic order of the windows. The codes are base-size
+    numbers, built by doubling with no sort:
+    code_2s(i) = code_s(i) size^s + code_s(i+s), so k = 1 holds too while
+    size^K <= 2^62. Past that (only a K = 3 forced over a large alphabet),
+    the leading two symbols are replaced by the rank of their pair, which is
+    below x.size.
+    """
+    n = x.size
+    if size ** K > 2 ** 62:
+        if size >= 2 ** 31:  # rank the symbols, so that pair codes stay below 2^62
+            x = np.unique(x, return_inverse=True)[1]
+            size = int(x.max()) + 1
+        pairs = x * size
+        pairs[:-1] += x[1:]
+        codes = np.unique(pairs, return_inverse=True)[1] * size ** (K - 2)
+        if K == 3:
+            codes[:-2] += x[2:]
+        return codes, np.empty_like(codes), size
+    codes, spare, span = x.copy(), np.empty_like(x), 1
+    for bit in bin(K)[3:]:
+        np.multiply(codes, size ** span, out=spare)
+        spare[:n - span] += codes[span:]
+        codes, spare, span = spare, codes, 2 * span
+        if bit == "1":
+            codes *= size
+            codes[:n - span] += x[span:]
+            span += 1
+    return codes, spare, size
+
+
+class WindowClasses:
+    """Exact keys of the overlapping windows of one symbol array.
+
+    Level 0 is packed: the exact base-size code of the zero-padded window of
+    `span` symbols at every start, span being the longest window whose code
+    stays within 2^62 (at most the array length). A k-window with k <= span
+    has the key code // size^(span - k), its k-symbol prefix, and no sort is
+    needed. Longer windows use prefix doubling (Manber-Myers 1993) from
+    there: ranked level j holds the dense ranks of the L_j-windows,
+    L_j = span 2^j, level 0 ranking the codes and level j+1 the pairs
+    (rank_j[i], rank_j[i + L_j]). A k-window with L_j <= k < 2 L_j has the
+    key (rank_j[i], rank_j[i + k - L_j]), packed into one int64. Keys are
+    equal exactly when the windows are and follow their lexicographic order.
+    Ranked levels are built lazily, only as deep as the longest window asked
     for. Arrays up to 2^31 symbols.
     """
 
@@ -241,20 +286,31 @@ class WindowClasses:
         ids = np.asarray(symbols, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError("window classes need a nonempty 1-d symbol array")
-        if ids.min() < 0 or ids.max() >= 2 ** 31:  # keep pair keys in [0, 2^62)
+        # ranked: negative codes would not sort, and past 2^31 the span drops below 2
+        if ids.min() < 0 or ids.max() >= 2 ** 31:
             ids = np.unique(ids, return_inverse=True)[1]
-        self.length = int(ids.size)
-        self._ids = [ids]
-        self._bases = [int(ids.max()) + 1]
+        self.length = n = int(ids.size)
+        self._size = size = int(ids.max()) + 1
+        span = n if size == 1 else 1
+        while span < n and size ** (span + 1) <= 2 ** 62:
+            span += 1
+        self.span = span
+        self._codes = _padded_window_codes(ids, size, span)[0]
+        self._ranks: list[np.ndarray] = []
+        self._bases: list[int] = []
 
-    def _level(self, j: int) -> tuple[np.ndarray, int]:
-        while len(self._ids) <= j:
-            ids, base = self._ids[-1], self._bases[-1]
-            half = 1 << (len(self._ids) - 1)
-            nxt = np.unique(ids[:-half] * base + ids[half:], return_inverse=True)[1]
-            self._ids.append(nxt)
+    def _ranked(self, j: int) -> tuple[np.ndarray, int]:
+        while len(self._ranks) <= j:
+            if self._ranks:
+                ids, base = self._ranks[-1], self._bases[-1]
+                half = self.span << (len(self._ranks) - 1)
+                pairs = ids[:-half] * base + ids[half:]
+            else:  # the real span-windows, none running into the padding
+                pairs = self._codes[:self.length - self.span + 1]
+            nxt = np.unique(pairs, return_inverse=True)[1]
+            self._ranks.append(nxt)
             self._bases.append(int(nxt.max()) + 1)
-        return self._ids[j], self._bases[j]
+        return self._ranks[j], self._bases[j]
 
     def keys(self, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Keys of the k-windows starting in [start, stop); equal iff the windows are.
@@ -268,9 +324,11 @@ class WindowClasses:
         stop = last if stop is None else stop
         if not 0 <= start <= stop <= last:
             raise ValueError(f"window starts [{start}, {stop}) out of range [0, {last})")
-        j = int(k).bit_length() - 1
-        ids, base = self._level(j)
-        rest = k - (1 << j)
+        if k <= self.span:
+            return self._codes[start:stop] // self._size ** (self.span - k)
+        j = int(k // self.span).bit_length() - 1
+        ids, base = self._ranked(j)
+        rest = k - (self.span << j)
         if rest == 0:
             return ids[start:stop]
         return ids[start:stop] * base + ids[start + rest:stop + rest]

@@ -273,14 +273,20 @@ def _csv_digest(name: str, **overrides):
 class TestOutputGuard:
     """Configs keep their exact output bytes through any kernel or engine change.
 
-    Orbit configs, `zero_inflation`, whose masked matcher no benchmark
-    workload runs, and the scrabble and entropy routes through `run`.
+    The `random_perturbed` and `lcs_markov` benchmark references, orbit
+    configs, `zero_inflation`, whose masked matcher no benchmark workload
+    runs, and the scrabble and entropy routes through `run`.
     """
 
     def test_random_perturbed_matches_benchmark_reference(self):
         ref = json.loads(REFERENCES.read_text())["random_perturbed"]
         digest, passed = _csv_digest("random_perturbed", seed=ref["seed"],
                                      trials=ref["trials"])
+        assert (digest, passed) == (ref["csv_sha256"], ref["passed"])
+
+    def test_lcs_markov_matches_benchmark_reference(self):
+        ref = json.loads(REFERENCES.read_text())["lcs_markov"]
+        digest, passed = _csv_digest("lcs_markov", seed=ref["seed"], trials=ref["trials"])
         assert (digest, passed) == (ref["csv_sha256"], ref["passed"])
 
     # one trial each, schedule cut to 2^10..2^14

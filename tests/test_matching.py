@@ -144,6 +144,23 @@ class TestWindowClassKernel:
         assert lcs_fast(x, x).witness == (0, 0, n)
         assert lcs_fast(x, seq([0] * n, 2)).length == 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_schedule_crosses_packed_and_ranked_levels(self, seed):
+        # binary keys are packed up to 62 symbols, then ranked at 62 and 124;
+        # y is x but for three substitutions, so one schedule crosses both, and
+        # the last one ends a window of over 124 symbols that differs only there
+        rng = np.random.default_rng(seed)
+        xd = rng.integers(0, 2, 300)
+        yd = xd.copy()
+        yd[[int(rng.integers(30, 50)), int(rng.integers(90, 110)),
+            int(rng.integers(240, 260))]] ^= 1
+        x, y = SymbolSeq(Alphabet(2), xd), SymbolSeq(Alphabet(2), yd)
+        sched = tuple(range(20, 301, 10))
+        got = lcs_lengths_over_schedule(x, y, sched)
+        assert got == [lcs_oracle(x.prefix(n), y.prefix(n)).length for n in sched]
+        assert got[0] <= 62 < min(v for v in got if v > 62) <= 124 < got[-1]
+        assert lcs_fast(x, y) == lcs_oracle(x, y)
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_witness_is_least_i_then_j_on_unequal_lengths(self, seed):

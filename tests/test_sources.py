@@ -195,6 +195,35 @@ class TestWindowClasses:
                     assert ((keys[a] < keys[b]) == (windows[a] < windows[b])
                             and (keys[a] == keys[b]) == (windows[a] == windows[b]))
 
+    # packed spans: size 1 packs the whole array, 3^39 <= 2^62 < 3^40 and
+    # (2^31)^2 = 2^62; symbols past 2^31 are ranked (here to three) first
+    @pytest.mark.parametrize("size, n, span", [(1, 140, 140), (2, 140, 62), (3, 100, 39),
+                                               (2 ** 31, 12, 2), (2 ** 40, 100, 39)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_keys_order_windows_across_packed_and_ranked_levels(self, size, n, span, seed):
+        rng = np.random.default_rng(seed)
+        symbols = np.unique([0, size // 2, size - 1])
+        picks = np.tile(rng.integers(0, symbols.size, 5), n)[:n]  # period 5
+        if seed == 1 and symbols.size > 1:
+            # a window ending (starting) at a substitution differs from its
+            # shift by 5 in its last (first) symbol alone, at every k
+            for at in (int(rng.integers(0, 5)), n - 1 - int(rng.integers(0, 5))):
+                picks[at] = (picks[at] + 1) % symbols.size
+        elif seed == 2:
+            picks = rng.integers(0, symbols.size, n)
+        data = symbols[picks]
+        classes = WindowClasses(data)
+        assert classes.span == span
+        rows = data.tolist()
+        for k in range(1, n + 1):  # k <= span, then one and two ranked levels
+            keys = classes.keys(k)
+            windows = [tuple(rows[i:i + k]) for i in range(n - k + 1)]
+            order = sorted(range(len(windows)), key=windows.__getitem__)
+            assert np.argsort(keys, kind="stable").tolist() == order
+            ordered = [windows[i] for i in order]
+            assert (keys[order][1:] == keys[order][:-1]).tolist() == [
+                a == b for a, b in zip(ordered[1:], ordered[:-1])]
+
     def test_slices_match_full_keys(self):
         data = np.random.default_rng(5).integers(0, 2, 200)
         classes = WindowClasses(data)
