@@ -23,11 +23,11 @@ from .dynamics import (Collapse, CoordinateProjection, IdentityObservation,
                        ThetaDriver, BernoulliDriver, UniformBallDriver,
                        TimesMap, ToralAutomorphism, default_toral_pair,
                        iterate, iterate_random, lebesgue_orbit, observe,
-                       theta_driver, torus_distance)
+                       torus_distance)
 from .geometry import (DimensionFit, DistanceProfile, NearestPair, SlopeFit,
-                       correlation_dimension, correlation_sum,
-                       default_radius_window, distance_profile, fit_slope,
-                       shortest_distance, shortest_distance_fast)
+                       correlation_dimension, default_radius_window,
+                       distance_profile, fit_slope, shortest_distance,
+                       shortest_distance_fast)
 from .harness import (ExperimentPlan, ExperimentResult, plan_from_config, run,
                       scrabble_crosscheck, selftest, theoretical_slope_limit)
 

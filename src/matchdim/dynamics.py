@@ -146,10 +146,6 @@ class ToralAutomorphism:
     dim = 2
 
     @property
-    def positive_entries(self) -> bool:
-        return all(v > 0 for row in self.matrix for v in row)
-
-    @property
     def bits_per_step(self) -> int:
         s = max(sum(abs(v) for v in row) for row in self.matrix)
         return (s - 1).bit_length()
@@ -160,22 +156,7 @@ MapSpec = Union[TimesMap, ToralAutomorphism]
 
 def default_toral_pair() -> tuple[ToralAutomorphism, ToralAutomorphism]:
     """Smallest classical hyperbolic pair with all-positive entries."""
-    pair = (ToralAutomorphism(((2, 1), (1, 1))), ToralAutomorphism(((3, 2), (1, 1))))
-    assert pair[0].positive_entries and pair[1].positive_entries
-    return pair
-
-
-def theta_driver(omega):
-    """The 4-branch piecewise-linear Lebesgue-preserving driver on [0, 1]."""
-    w = np.asarray(omega, dtype=float)
-    if np.any((w < 0.0) | (w > 1.0)):
-        raise ValueError("driver state must lie in [0, 1]")
-    out = np.select(
-        [w < 0.2, w < 0.4, w < 0.6],
-        [2.0 * w, 3.0 * w - 0.2, 2.0 * w - 0.8],
-        default=1.5 * w - 0.5,
-    )
-    return float(out) if np.isscalar(omega) or np.ndim(omega) == 0 else out
+    return ToralAutomorphism(((2, 1), (1, 1))), ToralAutomorphism(((3, 2), (1, 1)))
 
 
 def _exact(x0, dim: int) -> list[int]:

@@ -37,17 +37,14 @@ EIGEN_ROOT_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """One entropy value with its provenance.
-
-    For empirical estimates, value = -log(collision)/k and distinct_blocks
-    counts the observed distinct windows; closed forms carry k=None.
-    """
+    """An empirical estimate at block length k: value = -log(collision)/k,
+    and distinct_blocks counts the observed distinct windows. Closed forms
+    return plain floats."""
 
     value: float
-    method: str
-    k: int | None = None
-    collision: float | None = None
-    distinct_blocks: int | None = None
+    k: int
+    collision: float
+    distinct_blocks: int
 
 
 @dataclass(frozen=True)
@@ -218,8 +215,8 @@ def renyi2_scrabble(P, weights) -> ScrabbleSpectrum:
 def _plug_in(counts: np.ndarray, k: int) -> EntropyEstimate:
     """Estimate from the occurrence counts of the distinct length-k windows."""
     col = collision_sum(counts)
-    return EntropyEstimate(value=float(-np.log(col) / k), method="empirical",
-                           k=k, collision=col, distinct_blocks=int(counts.size))
+    return EntropyEstimate(value=float(-np.log(col) / k), k=k, collision=col,
+                           distinct_blocks=int(counts.size))
 
 
 def renyi2_empirical(seq: SymbolSeq, k: int) -> EntropyEstimate:

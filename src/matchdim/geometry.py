@@ -7,13 +7,13 @@ a (about 2^14 entries each), so it runs no per-row Python loop.
 Every fast query rests on one primitive, `_close_pairs(pa, pb, space, r)`: it
 yields chunks (d, i, j) holding every pair within r. It buckets pb into one
 `_Grid` with cells just wider than r and takes the pairs whose cells differ by
-at most one in each axis, cyclically on the torus, where each axis lists its
-shifts once modulo its cell count, so no pair comes twice. An axis held in
-one cell, however narrow, puts every pair in neighbouring cells. Where the
-grid has at most three cells per axis, or a split axis narrower than r, row
-blocks of the full matrix serve instead. `_least_by_prefix` reduces the chunks
-to the least (d, i, j) with i, j < n for each n: in (d, i, j) order, the
-first pair with max(i, j) < n.
+at most one in each axis, cyclically on the torus. A split axis is never
+narrower than r, and an axis held in one cell, however narrow, puts every
+pair in neighbouring cells. Where the grid has at most three cells per axis,
+row blocks of the full matrix serve instead. Otherwise every torus axis, of
+span 1, has more than three cells, so no pair comes twice.
+`_least_by_prefix` reduces the chunks to the least (d, i, j) with i, j < n
+for each n: in (d, i, j) order, the first pair with max(i, j) < n.
 
 A single-n search widens w fourfold from 4 span n^(-2/dim) until some pair
 lies within w; the least of them is the least overall. A distance profile,
@@ -26,11 +26,11 @@ one n. Every route folds the metric over coordinates in the same order, and
 the witness is the least (d, i, j), the reference's first minimum in
 row-major order, so the fast and reference answers are bitwise equal.
 
-Correlation sums (Grassberger-Procaccia) count the pairs i < j closer than r
-among the close pairs at the largest radius, and the correlation dimension
-is the least-squares slope (`fit_slope`, the package's one least-squares fit,
-which the harness also uses) of log-sum versus log-radius over a geometric
-radius window.
+The correlation dimension is the least-squares slope (`fit_slope`, the
+package's one least-squares fit, which the harness also uses) of the log
+correlation sum versus log-radius over a geometric radius window. The
+Grassberger-Procaccia sums count the pairs i < j closer than each radius
+among the close pairs at the largest radius.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ class DimensionFit:
     radii: np.ndarray
     sums: np.ndarray
     n_excluded: int
-
-
-def _as_points(obj, space: str) -> np.ndarray:
-    """Validated (m, dim) points; raw arrays are checked as an Orbit in `space`."""
-    return (obj if isinstance(obj, Orbit) else Orbit(obj, space)).points
 
 
 def _fold_metric(deltas, space: str) -> np.ndarray:
@@ -191,13 +186,6 @@ class _Grid:
         return flat
 
     @property
-    def min_width(self) -> float:
-        """Narrowest cell of the axes split into more than one cell: an axis
-        held in one cell puts every pair in neighbouring cells, whatever its
-        width."""
-        return float(self.widths[self.k_axes > 1].min(initial=math.inf))
-
-    @property
     def exhaustive(self) -> bool:
         return bool((self.k_axes <= 3).all())
 
@@ -205,19 +193,16 @@ class _Grid:
         """Chunks (i, j) of query and bucketed indices in neighbouring cells.
 
         Yields every pair whose cells differ by at most one in each axis,
-        cyclically on the torus, exactly once. A chunk holds the candidates
-        of whole queries, about _CHUNK_PAIRS pairs, plus at most one query's.
+        cyclically on the torus, exactly once on a grid that is not exhaustive.
+        A chunk holds whole queries' candidates: about _CHUNK_PAIRS pairs,
+        plus at most one query's.
         """
         # visiting queries in cell order keeps the searchsorted keys nearly
         # sorted, which makes their lookups cache-local
         qcells = self._cells(query)
         qorder = np.argsort(self._flatten(qcells))
         qcells = qcells[qorder]
-        if self.torus:
-            shifts = [sorted({s % k for s in (-1, 0, 1)}) for k in self.k_axes.tolist()]
-        else:
-            shifts = [(-1, 0, 1)] * qcells.shape[1]
-        for off in itertools.product(*shifts):
+        for off in itertools.product((-1, 0, 1), repeat=qcells.shape[1]):
             nc = qcells + np.asarray(off, dtype=np.int64)
             if self.torus:
                 nc %= self.k_axes
@@ -278,12 +263,12 @@ def _close_pairs(pa: np.ndarray, pb: np.ndarray, space: str, r: float):
     """Chunks (d, i, j) holding every pair of pa x pb with d(pa[i], pb[j]) <= r.
 
     The pairs come from one grid with cells just wider than r, so a pair at
-    exactly r lies in neighbouring cells, or, where that grid covers the space
-    or a split axis is narrower than r, from row blocks of the full matrix.
+    exactly r lies in neighbouring cells, or, where that grid has at most
+    three cells per axis, from row blocks of the full matrix.
     """
     mins, spans = _space_frame(space, pa, pb)
     grid = _Grid(pb, float(np.nextafter(r, math.inf)) * (1.0 + 1e-12), space, mins, spans)
-    if grid.exhaustive or grid.min_width < r:
+    if grid.exhaustive:
         rows = max(1, _BLOCK_ENTRIES // len(pb))
         for i0 in range(0, len(pa), rows):
             d = _block_dist(pa[i0:i0 + rows], pb, space)
@@ -368,18 +353,6 @@ def _pair_counts_below(pts: np.ndarray, radii: np.ndarray, space: str) -> np.nda
     return counts
 
 
-def correlation_sum(points, r: float, space: str = TORUS) -> float:
-    """Pair-proximity U-statistic: 2 #{i<j : d < r} / (M (M-1))."""
-    pts = _as_points(points, space)
-    m = pts.shape[0]
-    if m < 2:
-        raise ValueError("need at least two points")
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    count = int(_pair_counts_below(pts, np.asarray([r], dtype=float), space)[0])
-    return 2.0 * count / (m * (m - 1))
-
-
 def default_radius_window(n_points: int, dim: int) -> tuple[float, float]:
     """One decade below 4 * n^(-1/dim): above the noise floor, below saturation."""
     r_hi = 4.0 * n_points ** (-1.0 / dim)
@@ -389,7 +362,7 @@ def default_radius_window(n_points: int, dim: int) -> tuple[float, float]:
 def correlation_dimension(points, r_lo: float, r_hi: float, n_radii: int = 8,
                           space: str = TORUS) -> DimensionFit:
     """Least-squares slope of log correlation sum against log radius."""
-    pts = _as_points(points, space)
+    pts = (points if isinstance(points, Orbit) else Orbit(points, space)).points
     m = pts.shape[0]
     if m < 2:
         raise ValueError("need at least two points")

@@ -45,6 +45,7 @@ CSV_HEADER = "experiment,trial,n,statistic,log_n,theory_limit"
 # role constants for per-trial stream derivation
 _ROLE_X, _ROLE_Y, _ROLE_MASK_X, _ROLE_MASK_Y = 0, 1, 2, 3
 _DIM_ESTIMATE_KEY = 999_983
+_DIM_ESTIMATE_POINTS, _DIM_ESTIMATE_BURN_IN = 100_000, 100  # observed after burn-in
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         theory=cfg.pop("theory", "auto"),
         tolerance_frac=cfg.pop("tolerance_frac", None),
         tolerance_abs=cfg.pop("tolerance_abs", None),
-        expect_collapse=bool(cfg.pop("expect_collapse", False)),
+        expect_collapse=_flag(cfg.pop("expect_collapse", False), "expect_collapse"),
         label=cfg.pop("label", ""),
     )
     _no_leftovers(cfg, "config")  # a misspelled key first, then the values
@@ -179,10 +180,16 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
 
 
 def _integer(value, what: str) -> int:
-    try:
+    """An int or an integral float (YAML reads 1.0e+6 as a float), never a bool."""
+    if _is_number(value) and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {type(value).__name__}") from None
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _no_leftovers(spec: dict, what: str) -> None:
@@ -216,7 +223,7 @@ def _encoder_for_trial(plan: ExperimentPlan, trial: int, side: int) -> encoders.
     if kind == "identity":
         enc = encoders.IdentityEncoder()
     elif kind == "zero_inflation":
-        shared = bool(spec.pop("shared_mask", True))
+        shared = _flag(spec.pop("shared_mask", True), "shared_mask")
         role = _ROLE_MASK_X if (shared or side == 0) else _ROLE_MASK_Y
         enc = encoders.ZeroInflation(
             epsilon=float(spec.pop("epsilon")),
@@ -234,14 +241,14 @@ def _build_system(spec: dict) -> dynamics.MapSpec | dynamics.SkewSystem:
     spec = dict(spec or {})
     kind = spec.pop("kind", None)
     if kind == "times_m":
-        system = dynamics.TimesMap(int(spec.pop("m")))
+        system = dynamics.TimesMap(_integer(spec.pop("m"), "times_m m"))
     elif kind == "toral_automorphism":
         system = dynamics.ToralAutomorphism(tuple(tuple(row) for row in spec.pop("matrix")))
     elif kind == "noniid_2x3x":
         system = dynamics.SkewSystem(dynamics.ThetaDriver(),
                                      (dynamics.TimesMap(2), dynamics.TimesMap(3)))
     elif kind == "perturbed_times_m":
-        base = dynamics.TimesMap(int(spec.pop("m", 2)))
+        base = dynamics.TimesMap(_integer(spec.pop("m", 2), "perturbed_times_m m"))
         system = dynamics.SkewSystem(
             dynamics.UniformBallDriver(float(spec.pop("epsilon", 1e-3))), (base,))
     elif kind == "toral_pair":
@@ -264,7 +271,7 @@ def _build_observation(spec: dict | None) -> dynamics.ObservationSpec:
     if kind == "identity":
         obs = dynamics.IdentityObservation()
     elif kind == "coordinate_projection":
-        obs = dynamics.CoordinateProjection(int(spec.pop("index", 0)))
+        obs = dynamics.CoordinateProjection(_integer(spec.pop("index", 0), "projection index"))
     elif kind == "lipschitz_affine":
         matrix = spec.pop("matrix")
         obs = dynamics.LipschitzAffine(tuple(tuple(r) for r in matrix),
@@ -368,12 +375,11 @@ def _entropy_trial(plan: ExperimentPlan, trial: int
     return entropy.empirical_plateau(encoders.encode(enc, seq, plan.sample_length))
 
 
-def estimate_orbit_dimension(plan: ExperimentPlan, n_points: int = 100_000,
-                             burn_in: int = 100) -> geometry.DimensionFit:
+def estimate_orbit_dimension(plan: ExperimentPlan) -> geometry.DimensionFit:
     """Correlation dimension of the configured system's observed point cloud."""
-    observed = _observed_orbit(plan, n_points + burn_in,
+    observed = _observed_orbit(plan, _DIM_ESTIMATE_POINTS + _DIM_ESTIMATE_BURN_IN,
                                spawn_seed(plan.master_seed, _DIM_ESTIMATE_KEY))
-    pts = observed.points[burn_in:]
+    pts = observed.points[_DIM_ESTIMATE_BURN_IN:]
     # a Lipschitz observation cannot raise the dimension of the orbit it observes
     dim = min(pts.shape[1], _build_system(plan.system).dim)
     r_lo, r_hi = geometry.default_radius_window(pts.shape[0], dim)
@@ -572,8 +578,11 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
     checks.append(("encoder identities (prefix, zero-noise, stretch decode)",
                    bool(ok_enc), ""))
 
-    probes = [(0.0, 0.0), (0.3, 0.7), (0.5, 0.2), (1.0, 1.0)]
-    ok_theta = all(abs(dynamics.theta_driver(w) - img) < 1e-12 for w, img in probes)
+    # explicit states are taken mod 1, so the state 1.0 is probed just below it
+    probes = [(0.0, 0.0), (0.3, 0.7), (0.5, 0.2), (math.nextafter(1.0, 0.0), 1.0)]
+    theta = _build_system({"kind": "noniid_2x3x"})
+    ok_theta = all(abs(dynamics.iterate_random(theta, w, 0.0, 2, seed)[1][1] - img) < 1e-12
+                   for w, img in probes)
     checks.append(("driver branch values", ok_theta, ""))
 
     worst = 0.0

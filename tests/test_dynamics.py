@@ -8,8 +8,7 @@ from matchdim import (BernoulliDriver, Collapse, CoordinateProjection,
                       IdentityObservation, LipschitzAffine, Orbit,
                       SkewSystem, ThetaDriver, TimesMap, ToralAutomorphism,
                       UniformBallDriver, default_toral_pair, iterate,
-                      iterate_random, lebesgue_orbit, observe, theta_driver,
-                      torus_distance)
+                      iterate_random, lebesgue_orbit, observe, torus_distance)
 from matchdim import dynamics
 from matchdim.dynamics import _BLOCK
 from matchdim.seeding import spawn_seed
@@ -62,8 +61,7 @@ class TestMaps:
             ToralAutomorphism(((2, 0), (0, 2)))
 
     def test_default_pair_positive(self):
-        a0, a1 = default_toral_pair()
-        assert a0.positive_entries and a1.positive_entries
+        assert all(v > 0 for a in default_toral_pair() for row in a.matrix for v in row)
 
     def test_mod_one_closure(self):
         orb = iterate(ToralAutomorphism(((2, 1), (1, 1))), (0.37, 0.81), 200)
@@ -93,25 +91,30 @@ class TestLebesgueOrbits:
 
 
 class TestThetaDriver:
-    def test_branch_values(self):
-        assert theta_driver(0.0) == 0.0
-        assert theta_driver(0.3) == pytest.approx(0.7, abs=1e-12)
-        assert theta_driver(0.5) == pytest.approx(0.2, abs=1e-12)
-        assert theta_driver(1.0) == pytest.approx(1.0, abs=1e-12)
+    """The fixed-point driver trajectory, the second output of iterate_random."""
 
-    def test_domain_check(self):
-        with pytest.raises(ValueError):
-            theta_driver(1.5)
+    system = SkewSystem(ThetaDriver(), (TimesMap(2), TimesMap(3)))
+
+    def image(self, w):
+        return iterate_random(self.system, w, 0.0, 2, seed=1)[1][1]
+
+    def test_branch_values(self):
+        assert self.image(0.0) == 0.0
+        assert self.image(0.3) == pytest.approx(0.7, abs=1e-12)
+        assert self.image(0.5) == pytest.approx(0.2, abs=1e-12)
+        # an explicit state is taken mod 1: the state 1.0 is probed just below
+        assert self.image(np.nextafter(1.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_lebesgue_invariance_empirical(self):
-        rng = np.random.default_rng(77)
-        w = rng.random(10 ** 6)
-        img = theta_driver(w)
+        # a trajectory from a Lebesgue-random start: every state is uniform,
+        # but successive states are correlated (most near the fixed point 1),
+        # so sigma is the spread of the means of 100 batches, not the i.i.d. one
+        traj = iterate_random(self.system, None, None, 10 ** 6, seed=77)[1]
         bins = 20
-        hist, _ = np.histogram(img, bins=bins, range=(0.0, 1.0))
-        p = 1.0 / bins
-        sigma = np.sqrt(p * (1 - p) / 10 ** 6)
-        assert np.max(np.abs(hist / 10 ** 6 - p)) < 3 * sigma
+        freq = np.array([np.histogram(batch, bins=bins, range=(0.0, 1.0))[0]
+                         for batch in traj.reshape(100, -1)]) / 10 ** 4
+        sigma = freq.std(axis=0, ddof=1) / np.sqrt(100)
+        assert np.max(np.abs(freq.mean(axis=0) - 1.0 / bins) / sigma) < 3
 
 
 class TestSkewSystems:

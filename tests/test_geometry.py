@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from matchdim import (Collapse, Orbit, correlation_dimension, correlation_sum,
+from matchdim import (Collapse, Orbit, correlation_dimension,
                       default_radius_window, distance_profile, iterate,
                       observe, shortest_distance, shortest_distance_fast,
                       TimesMap)
 from matchdim import geometry
-from matchdim.geometry import _common_point
+from matchdim.geometry import _common_point, _pair_counts_below
+
+
+def pair_count(pts, r, space="torus"):
+    """#{i<j : d < r}, counted through one `_close_pairs` grid at r."""
+    return int(_pair_counts_below(np.asarray(pts, dtype=float), np.array([r]), space)[0])
 
 
 def uniform_orbit(seed, n, dim=1):
@@ -322,21 +327,24 @@ class TestCertifiedPass:
 class TestCorrelationSum:
     def test_radius_beyond_diameter(self):
         pts = np.random.default_rng(1).random((100, 1))
-        assert correlation_sum(pts, 0.6) == 1.0  # wrap diameter is 1/2
+        assert pair_count(pts, 0.6) == 100 * 99 // 2  # wrap diameter is 1/2
 
     def test_two_points_small_radius(self):
         pts = np.array([[0.2], [0.5]])
-        assert correlation_sum(pts, 0.1) == 0.0
+        assert pair_count(pts, 0.1) == 0
 
     def test_uniform_circle_analytic(self):
         # E[C(r)] = 2r for the wrap metric on the circle
         pts = np.random.default_rng(2).random((10_000, 1))
-        assert correlation_sum(pts, 0.01) == pytest.approx(0.02, rel=0.10)
+        m = len(pts)
+        assert 2.0 * pair_count(pts, 0.01) / (m * (m - 1)) == pytest.approx(0.02, rel=0.10)
 
     def test_monotone_in_radius(self):
         pts = np.random.default_rng(3).random((500, 2))
-        sums = [correlation_sum(pts, r) for r in (0.01, 0.03, 0.1, 0.3)]
-        assert sums == sorted(sums)
+        counts = [pair_count(pts, r) for r in (0.01, 0.03, 0.1, 0.3)]
+        assert counts == sorted(counts)
+        fit = correlation_dimension(pts, 0.01, 0.3, n_radii=4)
+        assert fit.sums.tolist() == sorted(fit.sums.tolist())
         assert pts.flags.writeable  # validation must not freeze the input
 
     @pytest.mark.parametrize("space", ["torus", "cube"])
@@ -366,18 +374,45 @@ class TestCorrelationSum:
             full = np.sqrt((delta ** 2).sum(axis=2))
         upper = full[np.triu_indices(m, k=1)]
         for r in radii:
-            expected = 2.0 * (upper < r).sum() / (m * (m - 1))
-            assert correlation_sum(pts, r, space=space) == expected
+            assert pair_count(pts, r, space) == (upper < r).sum()
+        fit = correlation_dimension(pts, radii[0], radii[-1], n_radii=3, space=space)
+        for r, total in zip(fit.radii, fit.sums):
+            assert total == 2.0 * (upper < r).sum() / (m * (m - 1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, -0.25])
     def test_rejects_invalid_points(self, bad):
         pts = np.array([[0.1], [bad], [0.5]])
         with pytest.raises(ValueError):
-            correlation_sum(pts, 0.1)
+            correlation_dimension(pts, 0.01, 0.1)
 
     def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            correlation_sum(np.array([[0.1]]), 0.1)
+        with pytest.raises(ValueError, match="two points"):
+            correlation_dimension(np.array([[0.1]]), 0.01, 0.1)
+
+
+class TestCloseGridShape:
+    """In the grid `_close_pairs` builds, an axis split into several cells is
+    at least r wide, and a torus grid is exhaustive or has more than three
+    cells on every axis, so the shifts -1, 0, 1 stay distinct modulo every
+    cell count and `pairs` yields no pair twice."""
+
+    @pytest.mark.parametrize("space", ["torus", "cube"])
+    def test_split_axes_are_wide_and_torus_axes_agree(self, space):
+        rng = np.random.default_rng(31)
+        for _ in range(1500):
+            dim = int(rng.integers(1, 4))
+            r = 10.0 ** rng.uniform(-21.0, 0.5)
+            spans = np.ones(dim)
+            if space == "cube":
+                spans = 10.0 ** rng.uniform(-22.0, 3.0, dim)
+                spans[rng.random(dim) < 0.2] = 1e-300  # a flat axis, as floored
+            w = float(np.nextafter(r, np.inf)) * (1.0 + 1e-12)
+            with np.errstate(invalid="ignore"):  # span / w past 2^63
+                grid = geometry._Grid(np.zeros((1, dim)), w, space, np.zeros(dim), spans)
+            split = grid.k_axes > 1
+            assert (grid.widths[split] >= r).all(), (r, spans)
+            if space == "torus":
+                assert grid.exhaustive or (grid.k_axes > 3).all(), (r, grid.k_axes)
 
 
 class TestCorrelationDimension:

@@ -70,6 +70,13 @@ class TestPlanParsing:
                 plan = plan_from_config(yaml.safe_load(fh))
             assert plan.trials >= 1
 
+    def test_integral_floats_are_integers(self):
+        cfg = yaml.safe_load("experiment: entropy_check\nschedule: [1.0]\ntrials: 2.0\n"
+                             "sample_length: 1.0e+6\nsource: {kind: iid, probs: [0.5, 0.5]}\n")
+        plan = plan_from_config(cfg)
+        assert (plan.schedule, plan.trials, plan.sample_length) == ((1,), 2, 1_000_000)
+        assert all(type(v) is int for v in (plan.schedule[0], plan.trials, plan.sample_length))
+
 
 class TestStrictSpecs:
     """A misspelled key in a nested spec is rejected, never silently defaulted."""
@@ -163,6 +170,22 @@ class TestTheoryLimits:
     def test_explicit_override(self):
         plan = small_plan(theory=3.25)
         assert theoretical_slope_limit(plan) == 3.25
+
+    @pytest.mark.parametrize("observation, target", [
+        ({"kind": "identity"}, 1.0),
+        ({"kind": "coordinate_projection", "index": 1}, 2.0),
+    ])
+    def test_toral_automorphism_and_its_projection(self, observation, target):
+        plan = plan_from_config({"experiment": "orbit_law", "seed": 3, "trials": 2,
+                                 "schedule": {"start_pow2": 6, "stop_pow2": 8},
+                                 "system": {"kind": "toral_automorphism",
+                                            "matrix": [[2, 1], [1, 1]]},
+                                 "observation": observation})
+        assert theoretical_slope_limit(plan) == target
+        result = run(plan)
+        assert result.theory_limit == target and len(result.rows) == 6
+        assert result.fit is not None and np.isfinite(result.fit.slope)
+        assert all(v > 0 for _, _, v in result.rows)
 
 
 class TestRun:
@@ -421,6 +444,22 @@ class TestCli:
          "orbit_law needs a deterministic map system"),
         # a numeric theory does not skip the check that the specs fit together
         ({"encoder": {"kind": "stretch", "weights": [1]}, "theory": 3.0}, "missing weight"),
+        # integers and flags are never coerced from another type
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+        ({"schedule": [64.9, 128, 256.5]}, "schedule entry must be an integer, got 64.9"),
+        ({"schedule": {"start_pow2": 6.5, "stop_pow2": 8}},
+         "schedule start_pow2 must be an integer"),
+        ({"sample_length": "1e6"}, "sample_length must be an integer, got '1e6'"),
+        ({"expect_collapse": "false"}, "expect_collapse must be true or false, got 'false'"),
+        ({"encoder": {"kind": "zero_inflation", "epsilon": 0.3, "shared_mask": "false"}},
+         "shared_mask must be true or false, got 'false'"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2.5}},
+         "times_m m must be an integer, got 2.5"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "observation": {"kind": "coordinate_projection", "index": False}},
+         "projection index must be an integer, got False"),
     ])
     def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
         cfg = self._write_config(tmp_path, **override)
