@@ -8,8 +8,7 @@ Carlo harness plus CLI that checks the measured slopes against the closed
 forms.
 """
 
-from .sources import (Alphabet, IIDSource, MarkovSource, SymbolSeq,
-                      block_counts, sample,
+from .sources import (Alphabet, IIDSource, MarkovSource, SymbolSeq, sample,
                       stationary_distribution)
 from .encoders import (Encoder, IdentityEncoder, InputExhausted, StretchEncoder,
                        ZeroInflation, encode)
@@ -22,8 +21,7 @@ from .dynamics import (Collapse, CoordinateProjection, IdentityObservation,
                        LipschitzAffine, Orbit, SkewSystem,
                        ThetaDriver, BernoulliDriver, UniformBallDriver,
                        TimesMap, ToralAutomorphism, default_toral_pair,
-                       iterate, iterate_random, lebesgue_orbit, observe,
-                       torus_distance)
+                       iterate, iterate_random, lebesgue_orbit, observe)
 from .geometry import (DimensionFit, DistanceProfile, NearestPair, SlopeFit,
                        correlation_dimension, default_radius_window,
                        distance_profile, fit_slope, shortest_distance,

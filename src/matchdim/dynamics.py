@@ -95,18 +95,6 @@ class Orbit:
         return int(self.points.shape[1])
 
 
-def torus_distance(a, b, space: str = TORUS) -> float:
-    """Distance between two points: sup wrap metric on the torus, Euclidean else."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if space == TORUS:
-        delta = np.abs(a - b)
-        return float(np.max(np.minimum(delta, 1.0 - delta)))
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
 @dataclass(frozen=True)
 class TimesMap:
     """x -> m x mod 1 on the circle, integer m >= 2."""

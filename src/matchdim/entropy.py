@@ -33,6 +33,8 @@ from .sources import (SymbolSeq, collision_sum, symbol_weights, window_counts,
                       _padded_window_codes)
 
 EIGEN_ROOT_ATOL = 1e-9
+_POWER_TOL, _POWER_MAX_ITER = 1e-13, 200_000  # power iteration of dominant_eigenvalue
+_ROOT_LO, _ROOT_HI, _ROOT_GRID = 1e-9, 1.0 - 1e-9, 4096  # scan of _largest_weighted_root
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class EntropyEstimate:
 class ScrabbleSpectrum:
     """Dominant-decay data of a weight-stretched chain."""
 
-    qstar: np.ndarray
     p_eigen: float
     p_root: float
     expanded_size: int
@@ -81,7 +82,7 @@ def _is_irreducible(M: np.ndarray) -> bool:
     return True
 
 
-def dominant_eigenvalue(M, tol: float = 1e-13, max_iter: int = 200_000) -> float:
+def dominant_eigenvalue(M) -> float:
     """Perron eigenvalue of a nonnegative irreducible matrix.
 
     Power iteration runs on M + I (same Perron vector, spectrum shifted by 1,
@@ -97,7 +98,7 @@ def dominant_eigenvalue(M, tol: float = 1e-13, max_iter: int = 200_000) -> float
     shifted = M + np.eye(n)
     x = np.full(n, 1.0 / math.sqrt(n))
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         y = shifted @ x
         norm = np.linalg.norm(y)
         if norm == 0.0:
@@ -105,9 +106,9 @@ def dominant_eigenvalue(M, tol: float = 1e-13, max_iter: int = 200_000) -> float
         x = y / norm
         lam = float(x @ (shifted @ x))
         residual = np.linalg.norm(shifted @ x - lam * x, ord=np.inf)
-        if residual <= tol * max(1.0, abs(lam)):
+        if residual <= _POWER_TOL * max(1.0, abs(lam)):
             return lam - 1.0
-    raise ArithmeticError(f"power iteration did not converge within {max_iter} iterations")
+    raise ArithmeticError(f"power iteration did not converge within {_POWER_MAX_ITER} iterations")
 
 
 def renyi2_markov(P) -> float:
@@ -152,14 +153,12 @@ def _det_weighted(P_sq: np.ndarray, w: list[int], lam: float) -> float:
     return float(np.linalg.det(P_sq - np.diag([lam ** v for v in w])))
 
 
-def _largest_weighted_root(P_sq: np.ndarray, w: list[int],
-                           lo: float = 1e-9, hi: float = 1.0 - 1e-9,
-                           grid: int = 4096) -> float:
+def _largest_weighted_root(P_sq: np.ndarray, w: list[int]) -> float:
     """Largest root in (0, 1] of det(P_sq - diag(lambda^w)) by scan + bisection."""
     # deterministic chains put the root exactly at 1
     if abs(_det_weighted(P_sq, w, 1.0)) < 1e-12:
         return 1.0
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(_ROOT_LO, _ROOT_HI, _ROOT_GRID)
     vals = np.array([_det_weighted(P_sq, w, x) for x in xs])
     signs = np.sign(vals)
     nonzero = signs != 0
@@ -207,8 +206,7 @@ def renyi2_scrabble(P, weights) -> ScrabbleSpectrum:
     if abs(p_eigen - p_root) >= EIGEN_ROOT_ATOL:
         raise ArithmeticError(
             f"eigenvalue/root disagreement: {p_eigen!r} vs {p_root!r}")
-    return ScrabbleSpectrum(qstar=qstar, p_eigen=p_eigen, p_root=p_root,
-                            expanded_size=qstar.shape[0],
+    return ScrabbleSpectrum(p_eigen=p_eigen, p_root=p_root, expanded_size=qstar.shape[0],
                             entropy=float(-np.log(p_eigen)))
 
 

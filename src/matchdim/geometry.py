@@ -166,7 +166,9 @@ class _Grid:
     def __init__(self, pts: np.ndarray, w: float, space: str,
                  mins: np.ndarray, spans: np.ndarray):
         self.torus = space == TORUS
-        self.k_axes = np.maximum((spans / w).astype(np.int64), 1)
+        # at most 2^(62 // dim) cells per axis keep every flat index in int64;
+        # a clipped axis only gets wider cells, which still hold every close pair
+        self.k_axes = np.clip(spans / w, 1, 2.0 ** (62 // spans.size)).astype(np.int64)
         self.widths = spans / self.k_axes
         self.mins = mins
         flat = self._flatten(self._cells(pts))

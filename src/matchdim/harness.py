@@ -116,7 +116,9 @@ class ExperimentResult:
     def summary(self) -> str:
         bits = [f"experiment={self.plan.label}", f"trials={self.plan.trials}"]
         if self.fit is not None:
-            bits.append(f"slope={self.fit.slope:.6g} (stderr {self.fit.stderr:.2g})")
+            bits.append(f"slope={self.fit.slope:.6g}")
+            if "slope_stderr_trials" in self.details:
+                bits[-1] += f" (stderr {self.details['slope_stderr_trials']:.2g})"
         if self.theory_limit is not None:
             bits.append(f"theory={self.theory_limit:.6g}")
         if self.collapse_detected:
@@ -186,6 +188,21 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _number(value, what: str) -> float:
+    if not _is_number(value):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _nested(value, check, what: str, depth: int = 1) -> tuple:
+    """value as tuples nested depth deep, each entry passed through check."""
+    if depth == 0:
+        return check(value, f"{what} entry")
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(_nested(v, check, what, depth - 1) for v in value)
+
+
 def _flag(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{what} must be true or false, got {value!r}")
@@ -201,16 +218,16 @@ def _build_source(spec: dict):
     spec = dict(spec or {})
     kind = spec.pop("kind")
     if kind == "iid":
-        src = sources.IIDSource(np.asarray(spec.pop("probs"), dtype=float))
+        src = sources.IIDSource(np.asarray(_nested(spec.pop("probs"), _number, "iid probs")))
     elif kind == "markov":
-        P = np.asarray(spec.pop("transition"), dtype=float)
+        P = np.asarray(_nested(spec.pop("transition"), _number, "markov transition", 2))
         init = spec.pop("initial", "stationary")
         if isinstance(init, str):
             if init != "stationary":
                 raise ValueError(f"unknown initial distribution {init!r}")
             src = sources.MarkovSource.stationary(P)
         else:
-            src = sources.MarkovSource(P, np.asarray(init, dtype=float))
+            src = sources.MarkovSource(P, np.asarray(_nested(init, _number, "markov initial")))
     else:
         raise ValueError(f"unknown source kind {kind!r}")
     _no_leftovers(spec, "source")
@@ -226,10 +243,10 @@ def _encoder_for_trial(plan: ExperimentPlan, trial: int, side: int) -> encoders.
         shared = _flag(spec.pop("shared_mask", True), "shared_mask")
         role = _ROLE_MASK_X if (shared or side == 0) else _ROLE_MASK_Y
         enc = encoders.ZeroInflation(
-            epsilon=float(spec.pop("epsilon")),
+            epsilon=_number(spec.pop("epsilon"), "zero_inflation epsilon"),
             mask_seed=spawn_seed(plan.master_seed, trial, role))
     elif kind == "stretch":
-        enc = encoders.StretchEncoder(tuple(int(v) for v in spec.pop("weights")))
+        enc = encoders.StretchEncoder(_nested(spec.pop("weights"), _integer, "stretch weights"))
     else:
         raise ValueError(f"unknown encoder kind {kind!r}")
     _no_leftovers(spec, "encoder")
@@ -243,22 +260,24 @@ def _build_system(spec: dict) -> dynamics.MapSpec | dynamics.SkewSystem:
     if kind == "times_m":
         system = dynamics.TimesMap(_integer(spec.pop("m"), "times_m m"))
     elif kind == "toral_automorphism":
-        system = dynamics.ToralAutomorphism(tuple(tuple(row) for row in spec.pop("matrix")))
+        system = dynamics.ToralAutomorphism(
+            _nested(spec.pop("matrix"), _integer, "toral_automorphism matrix", 2))
     elif kind == "noniid_2x3x":
         system = dynamics.SkewSystem(dynamics.ThetaDriver(),
                                      (dynamics.TimesMap(2), dynamics.TimesMap(3)))
     elif kind == "perturbed_times_m":
         base = dynamics.TimesMap(_integer(spec.pop("m", 2), "perturbed_times_m m"))
         system = dynamics.SkewSystem(
-            dynamics.UniformBallDriver(float(spec.pop("epsilon", 1e-3))), (base,))
+            dynamics.UniformBallDriver(_number(spec.pop("epsilon", 1e-3),
+                                               "perturbed_times_m epsilon")), (base,))
     elif kind == "toral_pair":
         if "matrices" in spec:
-            maps = tuple(dynamics.ToralAutomorphism(tuple(tuple(r) for r in m))
-                         for m in spec.pop("matrices"))
+            maps = tuple(map(dynamics.ToralAutomorphism, _nested(
+                spec.pop("matrices"), _integer, "toral_pair matrices", 3)))
         else:
             maps = dynamics.default_toral_pair()
-        system = dynamics.SkewSystem(dynamics.BernoulliDriver(float(spec.pop("q", 0.5))),
-                                     maps)
+        q = _number(spec.pop("q", 0.5), "toral_pair q")
+        system = dynamics.SkewSystem(dynamics.BernoulliDriver(q), maps)
     else:
         raise ValueError(f"unknown system kind {kind!r}")
     _no_leftovers(spec, "system")
@@ -273,11 +292,12 @@ def _build_observation(spec: dict | None) -> dynamics.ObservationSpec:
     elif kind == "coordinate_projection":
         obs = dynamics.CoordinateProjection(_integer(spec.pop("index", 0), "projection index"))
     elif kind == "lipschitz_affine":
-        matrix = spec.pop("matrix")
-        obs = dynamics.LipschitzAffine(tuple(tuple(r) for r in matrix),
-                                       tuple(spec.pop("offset", [0.0] * len(matrix))))
+        matrix = _nested(spec.pop("matrix"), _number, "lipschitz_affine matrix", 2)
+        obs = dynamics.LipschitzAffine(matrix, _nested(spec.pop("offset", [0.0] * len(matrix)),
+                                                       _number, "lipschitz_affine offset"))
     elif kind == "collapse":
-        obs = dynamics.Collapse(tuple(spec.pop("interval")), float(spec.pop("value")))
+        obs = dynamics.Collapse(_nested(spec.pop("interval"), _number, "collapse interval"),
+                                _number(spec.pop("value"), "collapse value"))
     else:
         raise ValueError(f"unknown observation kind {kind!r}")
     _no_leftovers(spec, "observation")
@@ -427,8 +447,13 @@ def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
         # a zero orbit distance is a collapse: that trial has no -log m_n to fit
         collapsed = (stats == 0.0).any(axis=1) & orbit
         clean = stats[~collapsed]
-        fit = (fit_slope(np.log(plan.schedule), (-np.log(clean) if orbit else clean).mean(0))
-               if len(clean) else None)
+        ys = -np.log(clean) if orbit else clean
+        fit = fit_slope(np.log(plan.schedule), ys.mean(0)) if len(clean) else None
+        if fit is not None:
+            details["slope_stderr_residual"] = fit.stderr
+        if len(clean) > 1:  # OLS is linear: the fit's slope is the mean trial slope
+            slopes = [fit_slope(np.log(plan.schedule), y).slope for y in ys]
+            details["slope_stderr_trials"] = float(np.std(slopes, ddof=1) / math.sqrt(len(ys)))
         passed = (collapsed.any() if orbit and plan.expect_collapse
                   else fit is not None and _gate(plan, fit.slope, theory))
     return ExperimentResult(plan=plan, rows=rows, theory_limit=theory, fit=fit,

@@ -169,8 +169,7 @@ def lcs_lengths_over_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]
     return _longest_over_schedule(lambda n, k: _classes_meet(classes, k, top, n, n), ns)
 
 
-def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask_x, mask_y=None,
-                      schedule=None) -> list[int]:
+def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask_x, mask_y, schedule) -> list[int]:
     """Longest matching window pair with the mask re-anchored to window starts.
 
     A contamination mask is a fixed environment: comparing a window of x
@@ -182,14 +181,12 @@ def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask_x, mask_y=None,
     plain substring match of the two encoded strings compares mask bits from
     unrelated positions instead and decays at a different rate.
 
-    Returns the optimal length for each n in `schedule` (default: the full
-    common length), any alphabet, masks 0/1: one scan over the codes of
+    Returns the optimal length for each n in `schedule`, any alphabet, masks
+    0/1 (pass one mask twice to share it): one scan over the codes of
     `anchored_window_codes` raises k while the length-n prefixes match.
     """
     _check_pair(x, y)
-    mask_y = mask_x if mask_y is None else mask_y
-    limit = min(x.length, y.length)
-    ns = _check_schedule([limit] if schedule is None else schedule, limit)
+    ns = _check_schedule(schedule, min(x.length, y.length))
     if len(mask_x) < ns[-1] or len(mask_y) < ns[-1]:
         raise ValueError("masks must cover the largest scheduled n")
     codes = anchored_window_codes((x.data[:ns[-1]], y.data[:ns[-1]]), (mask_x, mask_y),

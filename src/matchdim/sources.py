@@ -1,4 +1,4 @@
-"""Finite-alphabet sequences, block counting, and i.i.d./Markov samplers.
+"""Finite-alphabet sequences, window counting, and i.i.d./Markov samplers.
 
 This module provides:
 - Immutable symbol sequences over a finite alphabet (symbols 0..size-1), and
@@ -27,6 +27,7 @@ import numpy as np
 
 PROB_ATOL = 1e-12
 _SAMPLE_CHUNK = 1 << 12  # uniforms walked per chunk by the Markov sampler
+_STATIONARY_TOL, _STATIONARY_MAX_ITER = 1e-12, 10 ** 6  # stationary_distribution
 
 
 @dataclass(frozen=True)
@@ -209,26 +210,6 @@ def _check_block_len(seq: SymbolSeq, k: int) -> None:
         raise ValueError(f"block length k={k} out of range [1, {seq.length}]")
 
 
-def block_counts(seq: SymbolSeq, k: int) -> dict[bytes, int]:
-    """Occurrence counts of all overlapping length-k blocks.
-
-    Keys are the packed symbol windows as bytes (alphabet size <= 256);
-    values sum to length - k + 1. A per-window reference for the counts of
-    `window_counts`.
-    """
-    _check_block_len(seq, k)
-    if seq.alphabet.size > 256:
-        raise ValueError("block_counts packing supports alphabets up to 256 symbols")
-    m = seq.length - k + 1
-    packed = seq.data.astype(np.uint8)
-    counts: dict[bytes, int] = {}
-    buf = packed.tobytes()
-    for i in range(m):
-        key = buf[i:i + k]
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def _padded_window_codes(x: np.ndarray, size: int, K: int
                          ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact codes of the K-windows of x at every start, zero past its end.
@@ -374,19 +355,20 @@ def collision_sum(counts: np.ndarray) -> float:
     return float(np.sum((counts / float(counts.sum())) ** 2))
 
 
-def stationary_distribution(P, tol: float = 1e-12, max_iter: int = 10 ** 6) -> np.ndarray:
+def stationary_distribution(P) -> np.ndarray:
     """Fixed point mu = mu P of a row-stochastic matrix, by power iteration.
 
-    Raises ArithmeticError when the iteration fails to reach `tol` within
-    `max_iter` steps (e.g. periodic or reducible chains).
+    Raises ArithmeticError when the iteration fails to reach _STATIONARY_TOL
+    within _STATIONARY_MAX_ITER steps (e.g. periodic or reducible chains).
     """
     P = _check_stochastic(P)
     d = P.shape[0]
     mu = np.full(d, 1.0 / d)
-    for _ in range(max_iter):
+    for _ in range(_STATIONARY_MAX_ITER):
         nxt = mu @ P
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - mu)) < tol:
+        if np.max(np.abs(nxt - mu)) < _STATIONARY_TOL:
             return nxt
         mu = nxt
-    raise ArithmeticError(f"power iteration did not converge within {max_iter} iterations")
+    raise ArithmeticError(
+        f"power iteration did not converge within {_STATIONARY_MAX_ITER} iterations")

@@ -8,7 +8,7 @@ from matchdim import (BernoulliDriver, Collapse, CoordinateProjection,
                       IdentityObservation, LipschitzAffine, Orbit,
                       SkewSystem, ThetaDriver, TimesMap, ToralAutomorphism,
                       UniformBallDriver, default_toral_pair, iterate,
-                      iterate_random, lebesgue_orbit, observe, torus_distance)
+                      iterate_random, lebesgue_orbit, observe)
 from matchdim import dynamics
 from matchdim.dynamics import _BLOCK
 from matchdim.seeding import spawn_seed
@@ -187,24 +187,6 @@ class TestObservations:
         out = observe(LipschitzAffine(((2.0,),), (1.0,)), orb)
         assert out.space == "cube"
         assert out.points.ravel() == pytest.approx([2.0, 1.5])
-
-
-class TestTorusDistance:
-    def test_coincident(self):
-        assert torus_distance([0.4], [0.4]) == 0.0
-
-    def test_wraparound(self):
-        assert torus_distance([0.1], [0.9]) == pytest.approx(0.2, abs=1e-15)
-
-    def test_sup_metric_2d(self):
-        assert torus_distance([0.0, 0.0], [0.5, 0.5]) == pytest.approx(0.5)
-
-    def test_euclidean_for_cube(self):
-        assert torus_distance([0.0, 0.0], [3.0, 4.0], space="cube") == pytest.approx(5.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            torus_distance([0.1], [0.1, 0.2])
 
 
 # Per-step fixed-point reference: one coordinate list per point, reduced with

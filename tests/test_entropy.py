@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from matchdim import (Alphabet, IIDSource, MarkovSource, SymbolSeq, block_counts,
+from matchdim import (Alphabet, IIDSource, MarkovSource, SymbolSeq,
                       build_qstar, dominant_eigenvalue, empirical_plateau, renyi2_empirical,
                       renyi2_iid, renyi2_markov, renyi2_scrabble,
                       renyi2_zero_inflated, sample)
+from matchdim.sources import window_counts
+from oracles import block_counts, ordered_counts
 
 
 def two_state_oracle(a, b):
@@ -234,8 +236,11 @@ class TestEmpirical:
         assert plateau in table
         for est in table:
             assert est == renyi2_empirical(seq, est.k)
-            blocks = (block_counts(seq, est.k) if seq.alphabet.size <= 256 else
-                      {tuple(seq.data[i:i + est.k]) for i in range(n - est.k + 1)})
+            if seq.alphabet.size <= 256:
+                blocks = block_counts(seq, est.k)
+                assert window_counts(seq, est.k).tolist() == ordered_counts(blocks)
+            else:
+                blocks = {tuple(seq.data[i:i + est.k]) for i in range(n - est.k + 1)}
             assert est.distinct_blocks == len(blocks)
 
     @pytest.mark.filterwarnings("ignore:sequence length:RuntimeWarning")

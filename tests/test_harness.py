@@ -275,6 +275,29 @@ class TestRun:
         assert result.to_csv().splitlines()[1].split(",")[-1] == "0.5"
         assert not result.passed  # the plateau is near log 2, not 0.5
 
+    @pytest.mark.parametrize("plan", [
+        small_plan(),
+        ExperimentPlan(kind="orbit_law", schedule=(256, 512, 1024), trials=3, master_seed=5,
+                       system={"kind": "times_m", "m": 2})], ids=["lcs", "orbit"])
+    def test_slope_stderr_over_trials(self, plan):
+        result = run(plan)
+        table = np.zeros((plan.trials, len(plan.schedule)))
+        for trial, n, stat in result.rows:
+            table[trial, plan.schedule.index(n)] = stat
+        ys = -np.log(table) if plan.kind == "orbit_law" else table
+        slopes = np.polyfit(np.log(plan.schedule), ys.T, 1)[0]
+        # least squares is linear in the data, so the gated slope is the mean trial slope
+        assert abs(slopes.mean() - result.fit.slope) < 1e-12
+        assert result.details["slope_stderr_trials"] == pytest.approx(
+            slopes.std(ddof=1) / math.sqrt(plan.trials), rel=1e-9)
+        assert result.details["slope_stderr_residual"] == result.fit.stderr
+        assert f"(stderr {result.details['slope_stderr_trials']:.2g})" in result.summary()
+
+    def test_one_clean_trial_prints_no_stderr(self):
+        result = run(small_plan(trials=1))
+        assert "slope_stderr_trials" not in result.details
+        assert "stderr" not in result.summary()
+
     def test_csv_schema(self):
         result = run(small_plan())
         lines = result.to_csv().strip().split("\n")
@@ -428,7 +451,8 @@ class TestCli:
     @pytest.mark.parametrize("override, wording", [
         ({"schedule": 5}, "schedule must be a list"),
         ({"source": [1, 2]}, "source must be a mapping"),
-        ({"encoder": {"kind": "stretch", "weights": [1, [2]]}}, "bad value in a nested spec"),
+        ({"encoder": {"kind": "stretch", "weights": [1, [2]]}},
+         "stretch weights entry must be an integer, got [2]"),
         ({"schedule": [64, 128]}, "at least three schedule points"),
         ({"tolerance_frac": "abc"}, "tolerance_frac must be a nonnegative number"),
         ({"tolerance_abs": -0.25}, "tolerance_abs must be a nonnegative number"),
@@ -460,6 +484,46 @@ class TestCli:
         ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
           "observation": {"kind": "coordinate_projection", "index": False}},
          "projection index must be an integer, got False"),
+        # nested integers and numbers are checked entry by entry, not coerced
+        ({"encoder": {"kind": "stretch", "weights": [1.9, 2]}},
+         "stretch weights entry must be an integer, got 1.9"),
+        ({"encoder": {"kind": "stretch", "weights": "12"}},
+         "stretch weights must be a list, got '12'"),
+        ({"experiment": "orbit_law",
+          "system": {"kind": "toral_automorphism", "matrix": [[2.7, 1], [1, 1]]}},
+         "toral_automorphism matrix entry must be an integer, got 2.7"),
+        ({"experiment": "random_orbit_law", "system": {
+            "kind": "toral_pair", "matrices": [[[2, 1], [1, 1]], [[3, 2.5], [1, 1]]]}},
+         "toral_pair matrices entry must be an integer, got 2.5"),
+        ({"experiment": "random_orbit_law", "system": {"kind": "toral_pair", "q": True}},
+         "toral_pair q must be a number, got True"),
+        ({"experiment": "random_orbit_law", "system": {"kind": "toral_pair", "q": "0.5"}},
+         "toral_pair q must be a number, got '0.5'"),
+        ({"experiment": "random_orbit_law",
+          "system": {"kind": "perturbed_times_m", "epsilon": "1e-3"}},
+         "perturbed_times_m epsilon must be a number, got '1e-3'"),
+        ({"encoder": {"kind": "zero_inflation", "epsilon": "0.3"}},
+         "zero_inflation epsilon must be a number, got '0.3'"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "observation": {"kind": "collapse", "interval": ["0.0", "0.5"], "value": 0.25}},
+         "collapse interval entry must be a number, got '0.0'"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "observation": {"kind": "collapse", "interval": [0.0, 0.5], "value": "0.25"}},
+         "collapse value must be a number, got '0.25'"),
+        ({"source": {"kind": "iid", "probs": ["0.5", "0.5"]}},
+         "iid probs entry must be a number, got '0.5'"),
+        ({"source": {"kind": "markov", "transition": [["0.9", 0.1], [0.3, 0.7]]}},
+         "markov transition entry must be a number, got '0.9'"),
+        ({"source": {"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]],
+                     "initial": [1, "0"]}},
+         "markov initial entry must be a number, got '0'"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2}, "theory": 2.0,
+          "observation": {"kind": "lipschitz_affine", "matrix": [["1.0"], [0.0]]}},
+         "lipschitz_affine matrix entry must be a number, got '1.0'"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2}, "theory": 2.0,
+          "observation": {"kind": "lipschitz_affine", "matrix": [[1.0], [0.0]],
+                          "offset": [0.0, True]}},
+         "lipschitz_affine offset entry must be a number, got True"),
     ])
     def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
         cfg = self._write_config(tmp_path, **override)

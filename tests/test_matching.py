@@ -199,7 +199,7 @@ class TestMaskedWindowLcs:
         x, y = low_entropy_pair(seed, 3, 40, 40)
         mask = (rng.random(40) < 0.7).astype(np.int64)
         sched = (1, 4, 9, 20, 40)
-        assert masked_window_lcs(x, y, mask, schedule=sched) == [
+        assert masked_window_lcs(x, y, mask, mask, sched) == [
             self.brute_force(x, y, mask, n) for n in sched]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -229,7 +229,7 @@ class TestMaskedWindowLcs:
         sched = (3, 10, 25, 40)
         assert masked_window_lcs(x, y, mask_x, mask_y, sched) == [
             self.brute_force(x, y, mask_x, n, mask_y) for n in sched]
-        assert masked_window_lcs(x, y, mask_x, schedule=sched) == [
+        assert masked_window_lcs(x, y, mask_x, mask_x, sched) == [
             self.brute_force(x, y, mask_x, n) for n in sched]
 
     # binary codes are re-ranked before k = 63 and again before k = 119, so
@@ -244,7 +244,7 @@ class TestMaskedWindowLcs:
         x, y = SymbolSeq(Alphabet(2), xd), SymbolSeq(Alphabet(2), yd)
         mask = (rng.random(n) < 0.7).astype(np.int64)
         sched = (30, 100, 150)
-        got = masked_window_lcs(x, y, mask, schedule=sched)
+        got = masked_window_lcs(x, y, mask, mask, sched)
         assert got == [self.brute_force(x, y, mask, m) for m in sched]
         assert got[1] >= 63 and got[2] >= 119
 
@@ -252,7 +252,7 @@ class TestMaskedWindowLcs:
     def test_all_ones_mask_is_plain_lcs(self, seed):
         x, y = low_entropy_pair(seed, 2, 300, 300)
         sched = (1, 10, 100, 300)
-        assert (masked_window_lcs(x, y, np.ones(300), schedule=sched)
+        assert (masked_window_lcs(x, y, np.ones(300), np.ones(300), sched)
                 == lcs_lengths_over_schedule(x, y, sched))
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from matchdim import (Alphabet, IIDSource, MarkovSource, SymbolSeq,
-                      block_counts, sample, stationary_distribution)
+from matchdim import (Alphabet, IIDSource, MarkovSource, SymbolSeq, sample,
+                      stationary_distribution)
 from matchdim.sources import WindowClasses, collision_sum, window_counts
+from oracles import block_counts, ordered_counts
 
 
 def seq(symbols, size=None):
@@ -116,22 +117,28 @@ class TestSample:
 
 
 class TestBlockCounts:
+    """The per-window oracle, and `window_counts` against it on each case."""
+
     def test_hand_enumerated(self):
         counts = block_counts(seq([0, 1, 0, 1]), 2)
         assert counts == {bytes([0, 1]): 2, bytes([1, 0]): 1}
+        assert window_counts(seq([0, 1, 0, 1]), 2).tolist() == ordered_counts(counts)
 
     def test_single_symbol(self):
         assert block_counts(seq([0, 0, 0, 0]), 1) == {bytes([0]): 4}
+        assert window_counts(seq([0, 0, 0, 0]), 1).tolist() == [4]
 
     def test_window_arithmetic(self):
         s = sample(IIDSource(np.array([0.5, 0.5])), 100, 3)
         assert sum(block_counts(s, 3).values()) == 98
+        assert window_counts(s, 3).tolist() == ordered_counts(block_counts(s, 3))
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            block_counts(seq([0, 1]), 3)
-        with pytest.raises(ValueError):
-            block_counts(seq([0, 1]), 0)
+        for count in (block_counts, window_counts):
+            with pytest.raises(ValueError):
+                count(seq([0, 1]), 3)
+            with pytest.raises(ValueError):
+                count(seq([0, 1]), 0)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -140,6 +147,7 @@ class TestBlockCounts:
         if k > n:
             k = n
         assert sum(block_counts(s, k).values()) == n - k + 1
+        assert window_counts(s, k).tolist() == ordered_counts(block_counts(s, k))
 
 
 def repetitive(size, n, seed):
@@ -162,12 +170,11 @@ class TestWindowCounts:
     def test_matches_block_counts_in_window_order(self, size, ks, seed):
         s = repetitive(size, 1500, seed)
         for k in ks:
-            ref = block_counts(s, k)
+            ref = ordered_counts(block_counts(s, k))
             counts = window_counts(s, k)
             # counts follow the lexicographic order of the windows
-            assert counts.tolist() == [ref[key] for key in sorted(ref)]
-            assert collision_sum(window_counts(s, k)) == collision_sum(
-                np.array([ref[key] for key in sorted(ref)]))
+            assert counts.tolist() == ref
+            assert collision_sum(window_counts(s, k)) == collision_sum(np.array(ref))
             assert counts.max() > 1
 
     @pytest.mark.parametrize("k", [1, 6, 7, 30])
