@@ -443,7 +443,9 @@ class Collapse:
     value: float
 
     def __post_init__(self):
-        lo, hi = (float(self.interval[0]), float(self.interval[1]))
+        if len(self.interval) != 2:
+            raise ValueError(f"collapse interval must have two entries, got {len(self.interval)}")
+        lo, hi = (float(v) for v in self.interval)
         if not lo < hi:
             raise ValueError("collapse interval must have positive length")
         object.__setattr__(self, "interval", (lo, hi))

@@ -5,9 +5,8 @@ An encoder maps a raw symbol sequence to an encoded one.
 - identity: passes symbols through unchanged.
 - zero inflation: multiplies symbol i by an i.i.d. 0/1 mask bit with
   P(mask=1) = 1 - epsilon, derived deterministically from mask_seed. Symbol 0
-  is the contamination target, so alphabets must contain 0. One encoder
-  instance (one mask stream) is shared by both sequences of a matched pair;
-  use distinct mask seeds for independent-mask experiments.
+  is the contamination target, so alphabets must contain 0. A trial builds
+  one encoder, so both sequences of a matched pair see one mask stream.
 - stretch: symbol a is repeated weight(a) times, so matches of the encoded
   pair accumulate weight like scored matches of the raw pair.
 """
@@ -19,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .sources import SymbolSeq
+from .sources import SymbolSeq, symbol_weights
 
 
 class InputExhausted(ValueError):
@@ -60,15 +59,14 @@ class ZeroInflation:
 
 @dataclass(frozen=True)
 class StretchEncoder:
-    """Repeat symbol a weight(a) times; weights are positive integers per symbol."""
+    """Repeat symbol a weight(a) times; one positive integer weight per symbol."""
 
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        w = tuple(int(v) for v in self.weights)
-        if len(w) == 0 or any(v < 1 for v in w):
-            raise ValueError("weights must be positive integers for every symbol")
-        object.__setattr__(self, "weights", w)
+        if len(self.weights) == 0:
+            raise ValueError("weights must cover at least one symbol")
+        object.__setattr__(self, "weights", tuple(symbol_weights(self.weights, len(self.weights))))
 
     def _weight_array(self, seq: SymbolSeq) -> np.ndarray:
         if int(seq.data.max(initial=0)) >= len(self.weights):

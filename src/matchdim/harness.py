@@ -43,7 +43,7 @@ EXPERIMENT_KINDS = ("lcs_law", "scrabble_law", "orbit_law",
 CSV_HEADER = "experiment,trial,n,statistic,log_n,theory_limit"
 
 # role constants for per-trial stream derivation
-_ROLE_X, _ROLE_Y, _ROLE_MASK_X, _ROLE_MASK_Y = 0, 1, 2, 3
+_ROLE_X, _ROLE_Y, _ROLE_MASK = 0, 1, 2
 _DIM_ESTIMATE_KEY = 999_983
 _DIM_ESTIMATE_POINTS, _DIM_ESTIMATE_BURN_IN = 100_000, 100  # observed after burn-in
 
@@ -170,7 +170,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
                             (_build_observation, plan.observation)):
             if spec is not None:
                 build(spec)
-        enc = _encoder_for_trial(plan, 0, 0)
+        enc = _encoder_for_trial(plan, 0)
         if isinstance(enc, encoders.StretchEncoder) and plan.source is not None:
             # one weight per source symbol, checked here since a numeric theory
             # skips the closed form that would read them
@@ -234,17 +234,15 @@ def _build_source(spec: dict):
     return src
 
 
-def _encoder_for_trial(plan: ExperimentPlan, trial: int, side: int) -> encoders.Encoder:
+def _encoder_for_trial(plan: ExperimentPlan, trial: int) -> encoders.Encoder:
     spec = dict(plan.encoder or {"kind": "identity"})
     kind = spec.pop("kind", "identity")
     if kind == "identity":
         enc = encoders.IdentityEncoder()
     elif kind == "zero_inflation":
-        shared = _flag(spec.pop("shared_mask", True), "shared_mask")
-        role = _ROLE_MASK_X if (shared or side == 0) else _ROLE_MASK_Y
         enc = encoders.ZeroInflation(
             epsilon=_number(spec.pop("epsilon"), "zero_inflation epsilon"),
-            mask_seed=spawn_seed(plan.master_seed, trial, role))
+            mask_seed=spawn_seed(plan.master_seed, trial, _ROLE_MASK))
     elif kind == "stretch":
         enc = encoders.StretchEncoder(_nested(spec.pop("weights"), _integer, "stretch weights"))
     else:
@@ -307,7 +305,7 @@ def _build_observation(spec: dict | None) -> dynamics.ObservationSpec:
 def closed_form_entropy(plan: ExperimentPlan) -> float:
     """Collision entropy rate H2 of the configured encoded source."""
     src = _build_source(plan.source)
-    enc = _encoder_for_trial(plan, 0, 0)
+    enc = _encoder_for_trial(plan, 0)
     if isinstance(enc, encoders.IdentityEncoder):
         if isinstance(src, sources.IIDSource):
             return entropy.renyi2_iid(src.probs)
@@ -355,17 +353,15 @@ def _lcs_trial(plan: ExperimentPlan, trial: int) -> list[int]:
     n_max = plan.schedule[-1]
     x = sources.sample(src, n_max, spawn_seed(plan.master_seed, trial, _ROLE_X))
     y = sources.sample(src, n_max, spawn_seed(plan.master_seed, trial, _ROLE_Y))
-    enc_x = _encoder_for_trial(plan, trial, 0)
-    enc_y = _encoder_for_trial(plan, trial, 1)
-    if isinstance(enc_x, encoders.ZeroInflation):
+    enc = _encoder_for_trial(plan, trial)
+    if isinstance(enc, encoders.ZeroInflation):
         # the mask is an environment anchored at window starts: matches are
         # compared under a common mask prefix, the event whose decay rate is
         # the contaminated entropy (the encoder is not shift-equivariant, so
         # this differs from the plain substring match of the encoded strings)
-        return matching.masked_window_lcs(x, y, enc_x.mask(n_max),
-                                          enc_y.mask(n_max), plan.schedule)
-    ex = encoders.encode(enc_x, x, n_max)
-    ey = encoders.encode(enc_y, y, n_max)
+        return matching.masked_window_lcs(x, y, enc.mask(n_max), plan.schedule)
+    ex = encoders.encode(enc, x, n_max)
+    ey = encoders.encode(enc, y, n_max)
     return matching.lcs_lengths_over_schedule(ex, ey, plan.schedule)
 
 
@@ -391,7 +387,7 @@ def _entropy_trial(plan: ExperimentPlan, trial: int
     src = _build_source(plan.source)
     seq = sources.sample(src, plan.sample_length,
                          spawn_seed(plan.master_seed, trial, _ROLE_X))
-    enc = _encoder_for_trial(plan, trial, 0)
+    enc = _encoder_for_trial(plan, trial)
     return entropy.empirical_plateau(encoders.encode(enc, seq, plan.sample_length))
 
 
@@ -448,12 +444,13 @@ def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
         collapsed = (stats == 0.0).any(axis=1) & orbit
         clean = stats[~collapsed]
         ys = -np.log(clean) if orbit else clean
-        fit = fit_slope(np.log(plan.schedule), ys.mean(0)) if len(clean) else None
-        if fit is not None:
+        fit = None
+        if len(clean) and len(plan.schedule) > 2:  # a collapse plan may have two points
+            fit = fit_slope(np.log(plan.schedule), ys.mean(0))
             details["slope_stderr_residual"] = fit.stderr
-        if len(clean) > 1:  # OLS is linear: the fit's slope is the mean trial slope
-            slopes = [fit_slope(np.log(plan.schedule), y).slope for y in ys]
-            details["slope_stderr_trials"] = float(np.std(slopes, ddof=1) / math.sqrt(len(ys)))
+            if len(clean) > 1:  # OLS is linear: the fit's slope is the mean trial slope
+                slopes = [fit_slope(np.log(plan.schedule), y).slope for y in ys]
+                details["slope_stderr_trials"] = float(np.std(slopes, ddof=1) / math.sqrt(len(ys)))
         passed = (collapsed.any() if orbit and plan.expect_collapse
                   else fit is not None and _gate(plan, fit.slope, theory))
     return ExperimentResult(plan=plan, rows=rows, theory_limit=theory, fit=fit,
@@ -467,7 +464,7 @@ def scrabble_crosscheck(plan: ExperimentPlan, n_raw: int = 4096) -> list[int]:
     The encoded windows are the exact stretched images of the raw length-n_raw
     prefixes, so the two statistics may differ only by run-boundary effects.
     """
-    enc = _encoder_for_trial(plan, 0, 0)
+    enc = _encoder_for_trial(plan, 0)
     if not isinstance(enc, encoders.StretchEncoder):
         raise ValueError("cross-check applies to stretch-encoder plans")
     src = _build_source(plan.source)

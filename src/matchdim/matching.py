@@ -169,28 +169,27 @@ def lcs_lengths_over_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]
     return _longest_over_schedule(lambda n, k: _classes_meet(classes, k, top, n, n), ns)
 
 
-def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask_x, mask_y, schedule) -> list[int]:
+def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask, schedule) -> list[int]:
     """Longest matching window pair with the mask re-anchored to window starts.
 
     A contamination mask is a fixed environment: comparing a window of x
     starting at i with a window of y starting at j applies the same mask
     prefix to both, i.e. position t of the windows matches when
-    mask_x[t]*x[i+t] == mask_y[t]*y[j+t]. With a shared mask this keeps the
-    masked positions aligned across the pair (they act as wildcards), which
-    is the matching event whose rate is set by the contaminated entropy; the
-    plain substring match of the two encoded strings compares mask bits from
-    unrelated positions instead and decays at a different rate.
+    mask[t]*x[i+t] == mask[t]*y[j+t]. This keeps the masked positions aligned
+    across the pair (they act as wildcards), which is the matching event
+    whose rate is set by the contaminated entropy; the plain substring match
+    of the two encoded strings compares mask bits from unrelated positions
+    instead and decays at a different rate.
 
-    Returns the optimal length for each n in `schedule`, any alphabet, masks
-    0/1 (pass one mask twice to share it): one scan over the codes of
-    `anchored_window_codes` raises k while the length-n prefixes match.
+    Returns the optimal length for each n in `schedule`, any alphabet, mask
+    0/1: one scan over the codes of `anchored_window_codes` raises k while
+    the length-n prefixes match.
     """
     _check_pair(x, y)
     ns = _check_schedule(schedule, min(x.length, y.length))
-    if len(mask_x) < ns[-1] or len(mask_y) < ns[-1]:
-        raise ValueError("masks must cover the largest scheduled n")
-    codes = anchored_window_codes((x.data[:ns[-1]], y.data[:ns[-1]]), (mask_x, mask_y),
-                                  x.alphabet.size)
+    if len(mask) < ns[-1]:
+        raise ValueError("mask must cover the largest scheduled n")
+    codes = anchored_window_codes((x.data[:ns[-1]], y.data[:ns[-1]]), mask, x.alphabet.size)
     (cx, cy), k, out = next(codes), 1, []
     for n in ns:
         # the length-n prefixes hold n - k + 1 k-windows; k - 1 already matches

@@ -44,7 +44,8 @@ class Alphabet:
 def symbol_weights(weights, size: int) -> list[int]:
     """Exactly one positive integer weight per symbol of a size-symbol alphabet.
 
-    `weights` is a sequence indexed by symbol or a dict keyed by symbol.
+    `weights` is a sequence indexed by symbol or a dict keyed by symbol, of
+    ints or NumPy integers: a float or a bool weight is rejected, not truncated.
     """
     count = len(weights)
     if isinstance(weights, dict):
@@ -56,10 +57,10 @@ def symbol_weights(weights, size: int) -> list[int]:
         raise ValueError("missing weight: weight vector shorter than alphabet")
     if count > size:
         raise ValueError(f"{count} weights for an alphabet of {size} symbols")
-    w = [int(v) for v in weights]
-    if any(v < 1 for v in w):
-        raise ValueError("weights must be positive integers")
-    return w
+    for v in weights:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise ValueError(f"weights must be positive integers, got {v!r}")
+    return [int(v) for v in weights]
 
 
 @dataclass(frozen=True)
@@ -315,13 +316,13 @@ class WindowClasses:
         return ids[start:stop] * base + ids[start + rest:stop + rest]
 
 
-def anchored_window_codes(rows, masks, size: int):
+def anchored_window_codes(rows, mask, size: int):
     """Exact codes of the mask-anchored windows of equal-length rows, k = 1, 2, ...
 
-    rows is a 2-d array of symbols in [0, size), masks[r] the 0/1 mask of row
-    r. Entry (r, i) of the k-th yield codes the k-window of row r at i, its
-    position t holding masks[r][t] * symbol (a spaced seed). Codes are equal
-    exactly when the masked windows are, across rows, and follow their
+    rows is a 2-d array of symbols in [0, size), mask the 0/1 mask shared by
+    every row. Entry (r, i) of the k-th yield codes the k-window of row r at
+    i, its position t holding mask[t] * symbol (a spaced seed). Codes are
+    equal exactly when the masked windows are, across rows, and follow their
     lexicographic order; one Horner step per k, re-ranked jointly before 2^62.
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -334,8 +335,8 @@ def anchored_window_codes(rows, masks, size: int):
             ranks = np.unique(codes, return_inverse=True)[1]
             codes, bound = ranks.reshape(codes.shape), int(ranks.max()) + 1
         codes = codes[:, :-1] * size
-        for r in np.flatnonzero([m[k - 1] for m in masks]):
-            codes[r] += rows[r, k - 1:]
+        if mask[k - 1]:
+            codes += rows[:, k - 1:]
         bound *= size
         yield codes
 

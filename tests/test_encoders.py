@@ -125,6 +125,13 @@ class TestStretch:
         with pytest.raises(ValueError):
             StretchEncoder((1, 0))
 
+    def test_weights_follow_the_one_weight_rule(self):
+        # ints and NumPy integers pass; a float or a bool is never truncated
+        assert StretchEncoder((np.int64(1), 2)).weights == (1, 2)
+        for weights in [(1.9, 2), (True, 2), (1.0, 2)]:
+            with pytest.raises(ValueError, match="weights must be positive integers"):
+                StretchEncoder(weights)
+
     def test_image_length(self):
         enc = StretchEncoder((1, 2))
         s = seq([0, 1, 1, 0], 2)

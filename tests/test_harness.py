@@ -95,7 +95,7 @@ class TestStrictSpecs:
         plan = small_plan(encoder={"kind": "zero_inflation", "epsilon": 0.3,
                                    "shared": False})
         with pytest.raises(ValueError, match=r"unrecognized encoder keys: \['shared'\]"):
-            harness._encoder_for_trial(plan, 0, 1)
+            harness._encoder_for_trial(plan, 0)
 
     def test_closed_form_reads_the_encoder_through_the_same_parser(self):
         plan = small_plan(encoder={"kind": "zero_inflation", "epsilon": 0.3,
@@ -223,6 +223,21 @@ class TestRun:
         assert result.collapse_detected
         assert result.passed
         assert result.theory_limit is None
+
+    # two points allow no slope: the verdict is whether any trial collapsed,
+    # here with no trial collapsed and with one of four
+    @pytest.mark.parametrize("hi, collapses", [(0.001, 0), (0.01, 1)])
+    def test_two_point_collapse_plan_gives_a_verdict(self, hi, collapses):
+        plan = ExperimentPlan(kind="orbit_law", schedule=(64, 128), trials=4,
+                              master_seed=3, system={"kind": "times_m", "m": 2},
+                              observation={"kind": "collapse",
+                                           "interval": [0.0, hi], "value": hi / 2},
+                              expect_collapse=True)
+        result = run(plan)
+        stats = np.array([s for _, _, s in result.rows]).reshape(4, 2)
+        assert (stats == 0.0).any(axis=1).sum() == collapses
+        assert result.fit is None and result.details == {}
+        assert result.passed == result.collapse_detected == (collapses > 0)
 
     def test_orbit_with_a_flat_observed_axis(self):
         # the second observed coordinate is identically 0, so the cube frame
@@ -365,21 +380,6 @@ class TestOutputGuard:
         assert _csv_digest(name, **overrides) == (digest, passed)
 
 
-class TestMaskSharing:
-    def test_shared_mask_is_default(self):
-        plan = small_plan(encoder={"kind": "zero_inflation", "epsilon": 0.3})
-        enc_x = harness._encoder_for_trial(plan, 0, 0)
-        enc_y = harness._encoder_for_trial(plan, 0, 1)
-        assert enc_x.mask_seed == enc_y.mask_seed
-
-    def test_independent_masks_opt_in(self):
-        plan = small_plan(encoder={"kind": "zero_inflation", "epsilon": 0.3,
-                                   "shared_mask": False})
-        enc_x = harness._encoder_for_trial(plan, 0, 0)
-        enc_y = harness._encoder_for_trial(plan, 0, 1)
-        assert enc_x.mask_seed != enc_y.mask_seed
-
-
 class TestScrabbleCrosscheck:
     def test_discrepancy_within_boundary_slack(self):
         plan = ExperimentPlan(kind="scrabble_law", schedule=(64, 128, 256), trials=6,
@@ -478,7 +478,7 @@ class TestCli:
         ({"sample_length": "1e6"}, "sample_length must be an integer, got '1e6'"),
         ({"expect_collapse": "false"}, "expect_collapse must be true or false, got 'false'"),
         ({"encoder": {"kind": "zero_inflation", "epsilon": 0.3, "shared_mask": "false"}},
-         "shared_mask must be true or false, got 'false'"),
+         "unrecognized encoder keys: ['shared_mask']"),
         ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2.5}},
          "times_m m must be an integer, got 2.5"),
         ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
@@ -524,6 +524,17 @@ class TestCli:
           "observation": {"kind": "lipschitz_affine", "matrix": [[1.0], [0.0]],
                           "offset": [0.0, True]}},
          "lipschitz_affine offset entry must be a number, got True"),
+        # both windows of a pair see one mask: there is no option to unshare it
+        ({"encoder": {"kind": "zero_inflation", "epsilon": 0.3, "shared_mask": True}},
+         "unrecognized encoder keys: ['shared_mask']"),
+        ({"encoder": {"kind": "zero_inflation", "epsilon": 0.3, "shared_mask": False}},
+         "unrecognized encoder keys: ['shared_mask']"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "observation": {"kind": "collapse", "interval": [0.1], "value": 0.25}},
+         "collapse interval must have two entries, got 1"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "observation": {"kind": "collapse", "interval": [0.0, 0.5, 0.9], "value": 0.25}},
+         "collapse interval must have two entries, got 3"),
     ])
     def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
         cfg = self._write_config(tmp_path, **override)

@@ -184,12 +184,11 @@ class TestWindowClassKernel:
 
 class TestMaskedWindowLcs:
     @staticmethod
-    def brute_force(x, y, mask, n, mask_y=None):
-        mask_y = mask if mask_y is None else mask_y
+    def brute_force(x, y, mask, n):
         best = 0
         for k in range(1, n + 1):
             wx = {tuple(x.data[i:i + k] * mask[:k]) for i in range(n - k + 1)}
-            if any(tuple(y.data[j:j + k] * mask_y[:k]) in wx for j in range(n - k + 1)):
+            if any(tuple(y.data[j:j + k] * mask[:k]) in wx for j in range(n - k + 1)):
                 best = k
         return best
 
@@ -199,17 +198,8 @@ class TestMaskedWindowLcs:
         x, y = low_entropy_pair(seed, 3, 40, 40)
         mask = (rng.random(40) < 0.7).astype(np.int64)
         sched = (1, 4, 9, 20, 40)
-        assert masked_window_lcs(x, y, mask, mask, sched) == [
+        assert masked_window_lcs(x, y, mask, sched) == [
             self.brute_force(x, y, mask, n) for n in sched]
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_unshared_masks_match_brute_force(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        x, y = low_entropy_pair(seed, 3, 40, 40)
-        mask_x, mask_y = (rng.random((2, 40)) < 0.7).astype(np.int64)
-        sched = (1, 4, 9, 20, 40)
-        assert masked_window_lcs(x, y, mask_x, mask_y, sched) == [
-            self.brute_force(x, y, mask_x, n, mask_y) for n in sched]
 
     # symbol 0 occurs in odd seeds only; past 2^31 the symbols are ranked,
     # and a masked position must still equal symbol 0 and no other symbol
@@ -225,12 +215,10 @@ class TestMaskedWindowLcs:
         yd = pool[rng.integers(0, 3, n)]
         yd[5:25] = xd[12:32]
         x, y = SymbolSeq(Alphabet(size), xd), SymbolSeq(Alphabet(size), yd)
-        mask_x, mask_y = (rng.random((2, n)) < 0.7).astype(np.int64)
+        mask = (rng.random(n) < 0.7).astype(np.int64)
         sched = (3, 10, 25, 40)
-        assert masked_window_lcs(x, y, mask_x, mask_y, sched) == [
-            self.brute_force(x, y, mask_x, n, mask_y) for n in sched]
-        assert masked_window_lcs(x, y, mask_x, mask_x, sched) == [
-            self.brute_force(x, y, mask_x, n) for n in sched]
+        assert masked_window_lcs(x, y, mask, sched) == [
+            self.brute_force(x, y, mask, n) for n in sched]
 
     # binary codes are re-ranked before k = 63 and again before k = 119, so
     # the optima at n = 100 and n = 150 lie past one and past two re-ranks
@@ -244,7 +232,7 @@ class TestMaskedWindowLcs:
         x, y = SymbolSeq(Alphabet(2), xd), SymbolSeq(Alphabet(2), yd)
         mask = (rng.random(n) < 0.7).astype(np.int64)
         sched = (30, 100, 150)
-        got = masked_window_lcs(x, y, mask, mask, sched)
+        got = masked_window_lcs(x, y, mask, sched)
         assert got == [self.brute_force(x, y, mask, m) for m in sched]
         assert got[1] >= 63 and got[2] >= 119
 
@@ -252,7 +240,7 @@ class TestMaskedWindowLcs:
     def test_all_ones_mask_is_plain_lcs(self, seed):
         x, y = low_entropy_pair(seed, 2, 300, 300)
         sched = (1, 10, 100, 300)
-        assert (masked_window_lcs(x, y, np.ones(300), np.ones(300), sched)
+        assert (masked_window_lcs(x, y, np.ones(300), sched)
                 == lcs_lengths_over_schedule(x, y, sched))
 
 
@@ -320,6 +308,14 @@ class TestHighestScore:
         with pytest.raises(ValueError, match="3 weights for an alphabet of 2"):
             highest_score(seq([0, 1], 2), seq([1, 0], 2), 2, weights)
         with pytest.raises(ValueError, match="3 weights for an alphabet of 2"):
+            renyi2_scrabble([[0.5, 0.5], [0.5, 0.5]], weights)
+
+    @pytest.mark.parametrize("weights", [(1.9, 2), (True, 2), {0: 1, 1: 2.0}])
+    def test_non_integer_weight_rejected_as_by_the_closed_form(self, weights):
+        # truncation would score and rate the pair with weights (1, 2)
+        with pytest.raises(ValueError, match="weights must be positive integers"):
+            highest_score(seq([0, 1], 2), seq([1, 0], 2), 2, weights)
+        with pytest.raises(ValueError, match="weights must be positive integers"):
             renyi2_scrabble([[0.5, 0.5], [0.5, 0.5]], weights)
 
     def test_bound_and_symmetry(self):
