@@ -85,12 +85,6 @@ class StretchEncoder:
         out = np.repeat(seq.data[:m], w[:m])[:n_out]
         return SymbolSeq(seq.alphabet, out)
 
-    def image_length(self, seq: SymbolSeq, n_raw: int) -> int:
-        """Exact encoded length of the first n_raw input symbols."""
-        if n_raw > seq.length:
-            raise ValueError(f"n_raw={n_raw} exceeds input length {seq.length}")
-        return int(self._weight_array(seq.prefix(n_raw)).sum())
-
 
 Encoder = Union[IdentityEncoder, ZeroInflation, StretchEncoder]
 

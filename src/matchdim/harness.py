@@ -10,9 +10,10 @@ the theoretical limit supplied by the entropy/geometry modules:
   versus log n; limit 2 / H2 with H2 the closed-form collision entropy rate
   of the encoded source.
 - orbit_law / random_orbit_law: -log of the shortest distance between two
-  independent (random) orbits versus log n; limit 2 / C with C the
-  correlation dimension of the relevant invariant measure (declared for
-  Lebesgue systems, estimated empirically otherwise).
+  independent observed (random) orbits versus log n; limit 2 / C with C the
+  correlation dimension of the observed invariant measure (the observed
+  dimension for Lebesgue systems seen whole or through a coordinate,
+  estimated empirically otherwise).
 - entropy_check: each trial's block-entropy plateau against H2 itself.
 
 Every kind runs one path: `theoretical_slope_limit` resolves the target
@@ -61,7 +62,6 @@ class ExperimentPlan:
     system: dict | None = None
     observation: dict | None = None
     sample_length: int = 1_000_000
-    theory: float | str = "auto"
     tolerance_frac: float | None = None
     tolerance_abs: float | None = None
     expect_collapse: bool = False
@@ -83,8 +83,6 @@ class ExperimentPlan:
             tol = getattr(self, name)
             if tol is not None and not (_is_number(tol) and tol >= 0):
                 raise ValueError(f"{name} must be a nonnegative number, got {tol!r}")
-        if self.theory != "auto" and not _is_number(self.theory):
-            raise ValueError(f"theory must be 'auto' or a number, got {self.theory!r}")
         object.__setattr__(self, "schedule", sched)
         if not self.label:
             object.__setattr__(self, "label", self.kind)
@@ -106,11 +104,11 @@ class ExperimentResult:
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
-        theory = "" if self.theory_limit is None else repr(float(self.theory_limit))
+        limit = "" if self.theory_limit is None else repr(float(self.theory_limit))
         for trial, n, stat in sorted(self.rows, key=lambda r: (r[0], r[1])):
             stat_s = str(int(stat)) if float(stat).is_integer() else repr(float(stat))
             lines.append(f"{self.plan.label},{trial},{n},{stat_s},"
-                         f"{repr(math.log(n))},{theory}")
+                         f"{repr(math.log(n))},{limit}")
         return "\n".join(lines) + "\n"
 
     def summary(self) -> str:
@@ -156,7 +154,6 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         system=cfg.pop("system", None),
         observation=cfg.pop("observation", None),
         sample_length=_integer(cfg.pop("sample_length", 1_000_000), "sample_length"),
-        theory=cfg.pop("theory", "auto"),
         tolerance_frac=cfg.pop("tolerance_frac", None),
         tolerance_abs=cfg.pop("tolerance_abs", None),
         expect_collapse=_flag(cfg.pop("expect_collapse", False), "expect_collapse"),
@@ -170,11 +167,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
                             (_build_observation, plan.observation)):
             if spec is not None:
                 build(spec)
-        enc = _encoder_for_trial(plan, 0)
-        if isinstance(enc, encoders.StretchEncoder) and plan.source is not None:
-            # one weight per source symbol, checked here since a numeric theory
-            # skips the closed form that would read them
-            sources.symbol_weights(enc.weights, _build_source(plan.source).alphabet.size)
+        _encoder_for_trial(plan, 0)
         theoretical_slope_limit(plan)  # specs that do not fit together fail here
     except TypeError as e:  # a value of the wrong type, such as m: [2]
         raise ValueError(f"bad value in a nested spec: {e}") from None
@@ -319,33 +312,42 @@ def closed_form_entropy(plan: ExperimentPlan) -> float:
     return entropy.renyi2_scrabble(P, enc.weights).entropy
 
 
+def _observed_system(plan: ExperimentPlan) -> tuple[
+        dynamics.MapSpec | dynamics.SkewSystem, dynamics.ObservationSpec, int]:
+    """An orbit plan's system and observation, and the observed dimension
+    min(observed coordinates, system dimension).
+
+    The observation is applied to one point, so one that does not fit the
+    system fails when the plan is made, not in a trial.
+    """
+    system = _build_system(plan.system)
+    is_random = isinstance(system, dynamics.SkewSystem)
+    if plan.kind == "random_orbit_law" and not is_random:
+        raise ValueError("random_orbit_law needs a random system")
+    if plan.kind == "orbit_law" and is_random:
+        raise ValueError("orbit_law needs a deterministic map system")
+    obs = _build_observation(plan.observation)
+    probe = dynamics.observe(obs, dynamics.Orbit(np.zeros((1, system.dim))))
+    # a Lipschitz observation cannot raise the dimension of the orbit it observes
+    return system, obs, min(probe.dim, system.dim)
+
+
 def theoretical_slope_limit(plan: ExperimentPlan) -> float | None:
-    """The target of every gate: 2/H2, 2/C or H2 itself; None when C is only
-    known empirically (`run` estimates it) or the observation collapses."""
-    if isinstance(plan.theory, (int, float)):
-        return float(plan.theory)
+    """The target of every gate: H2 itself, 2/H2, or 2/C for both orbit laws.
+
+    C is the observed dimension of a Lebesgue system seen whole or through a
+    coordinate. A collapse or Lipschitz observation, or a noise driver, gives
+    None: `run` then estimates C, unless the plan expects a collapse.
+    """
     if plan.kind == "entropy_check":
         return closed_form_entropy(plan)
     if plan.kind in ("lcs_law", "scrabble_law"):
         return 2.0 / closed_form_entropy(plan)
-    system = _build_system(plan.system)
-    is_random = isinstance(system, dynamics.SkewSystem)
-    if plan.kind == "random_orbit_law":
-        if not is_random:
-            raise ValueError("random_orbit_law needs a random system")
-        if isinstance(system.driver, dynamics.UniformBallDriver):
-            return None  # stationary density known only empirically
-        return 2.0 / system.dim
-    obs = _build_observation(plan.observation)
-    if isinstance(obs, dynamics.Collapse):
+    system, obs, dim = _observed_system(plan)
+    if (isinstance(obs, (dynamics.Collapse, dynamics.LipschitzAffine))
+            or isinstance(getattr(system, "driver", None), dynamics.UniformBallDriver)):
         return None
-    if is_random:
-        raise ValueError("orbit_law needs a deterministic map system")
-    if isinstance(obs, dynamics.IdentityObservation):
-        return 2.0 / system.dim
-    if isinstance(obs, dynamics.CoordinateProjection):
-        return 2.0
-    return None  # estimated empirically at run time
+    return 2.0 / dim
 
 
 def _lcs_trial(plan: ExperimentPlan, trial: int) -> list[int]:
@@ -393,21 +395,20 @@ def _entropy_trial(plan: ExperimentPlan, trial: int
 
 def estimate_orbit_dimension(plan: ExperimentPlan) -> geometry.DimensionFit:
     """Correlation dimension of the configured system's observed point cloud."""
+    _, _, dim = _observed_system(plan)
     observed = _observed_orbit(plan, _DIM_ESTIMATE_POINTS + _DIM_ESTIMATE_BURN_IN,
                                spawn_seed(plan.master_seed, _DIM_ESTIMATE_KEY))
     pts = observed.points[_DIM_ESTIMATE_BURN_IN:]
-    # a Lipschitz observation cannot raise the dimension of the orbit it observes
-    dim = min(pts.shape[1], _build_system(plan.system).dim)
     r_lo, r_hi = geometry.default_radius_window(pts.shape[0], dim)
     return geometry.correlation_dimension(pts, r_lo, r_hi, space=observed.space)
 
 
-def _gate(plan: ExperimentPlan, measured: float, theory: float) -> bool:
-    """The one gate: tolerance_abs, else tolerance_frac * |theory|; none passes."""
+def _gate(plan: ExperimentPlan, measured: float, target: float) -> bool:
+    """The one gate: tolerance_abs, else tolerance_frac * |target|; none passes."""
     if plan.tolerance_abs is not None:
-        return abs(measured - theory) <= plan.tolerance_abs
+        return abs(measured - target) <= plan.tolerance_abs
     if plan.tolerance_frac is not None:
-        return abs(measured - theory) <= plan.tolerance_frac * abs(theory)
+        return abs(measured - target) <= plan.tolerance_frac * abs(target)
     return True
 
 
@@ -420,12 +421,12 @@ def _run_trials(plan: ExperimentPlan, fn, threads: int):
 
 def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """Execute a plan; deterministic in (plan, master seed) for any thread count."""
-    theory = theoretical_slope_limit(plan)
+    target = theoretical_slope_limit(plan)
     details: dict = {}
-    if theory is None and not plan.expect_collapse:  # an orbit law with C unknown
+    if target is None and not plan.expect_collapse:  # an orbit law with C unknown
         dim_fit = estimate_orbit_dimension(plan)
         details["estimated_dimension"] = dim_fit.slope
-        theory = 2.0 / dim_fit.slope
+        target = 2.0 / dim_fit.slope
     orbit = plan.kind.endswith("orbit_law")
     trial_fn = (_entropy_trial if plan.kind == "entropy_check"
                 else _orbit_trial if orbit else _lcs_trial)
@@ -435,7 +436,7 @@ def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
                 for trial, (_, table) in enumerate(per_trial) for est in table]
         plateaus = details["plateau_estimates"] = [plateau.value for plateau, _ in per_trial]
         fit, collapsed = None, np.zeros(0, dtype=bool)
-        passed = all(_gate(plan, p, theory) for p in plateaus)
+        passed = all(_gate(plan, p, target) for p in plateaus)
     else:
         stats = np.asarray(per_trial, dtype=float)
         rows = [(trial, n, float(v))
@@ -452,34 +453,10 @@ def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
                 slopes = [fit_slope(np.log(plan.schedule), y).slope for y in ys]
                 details["slope_stderr_trials"] = float(np.std(slopes, ddof=1) / math.sqrt(len(ys)))
         passed = (collapsed.any() if orbit and plan.expect_collapse
-                  else fit is not None and _gate(plan, fit.slope, theory))
-    return ExperimentResult(plan=plan, rows=rows, theory_limit=theory, fit=fit,
+                  else fit is not None and _gate(plan, fit.slope, target))
+    return ExperimentResult(plan=plan, rows=rows, theory_limit=target, fit=fit,
                             passed=bool(passed), collapse_detected=bool(collapsed.any()),
                             details=details)
-
-
-def scrabble_crosscheck(plan: ExperimentPlan, n_raw: int = 4096) -> list[int]:
-    """Encoded-match length minus weighted score at matched windows, per trial.
-
-    The encoded windows are the exact stretched images of the raw length-n_raw
-    prefixes, so the two statistics may differ only by run-boundary effects.
-    """
-    enc = _encoder_for_trial(plan, 0)
-    if not isinstance(enc, encoders.StretchEncoder):
-        raise ValueError("cross-check applies to stretch-encoder plans")
-    src = _build_source(plan.source)
-    diffs = []
-    for trial in range(plan.trials):
-        x = sources.sample(src, n_raw, spawn_seed(plan.master_seed, trial, _ROLE_X))
-        y = sources.sample(src, n_raw, spawn_seed(plan.master_seed, trial, _ROLE_Y))
-        na = enc.image_length(x, n_raw)
-        nb = enc.image_length(y, n_raw)
-        encoded_len = matching.lcs_fast(encoders.encode(enc, x, na),
-                                        encoders.encode(enc, y, nb),
-                                        want_witness=False).length
-        score = matching.highest_score(x, y, n_raw, enc.weights).length
-        diffs.append(encoded_len - score)
-    return diffs
 
 
 @dataclass

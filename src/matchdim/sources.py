@@ -92,12 +92,6 @@ class SymbolSeq:
             raise ValueError(f"prefix length {n} exceeds sequence length {self.length}")
         return SymbolSeq(self.alphabet, self.data[:n])
 
-    @classmethod
-    def from_symbols(cls, symbols, alphabet_size: int | None = None) -> "SymbolSeq":
-        arr = np.asarray(list(symbols), dtype=np.int64)
-        size = alphabet_size if alphabet_size is not None else (int(arr.max()) + 1 if arr.size else 1)
-        return cls(Alphabet(size), arr)
-
 
 def _check_probability_vector(p: np.ndarray, what: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)

@@ -1,6 +1,7 @@
-"""Per-window reference routes for the tests; pytest does not collect this module."""
+"""Reference routes for the tests; pytest does not collect this module."""
 
-from matchdim import SymbolSeq
+from matchdim import SymbolSeq, encode, harness, highest_score, lcs_fast, sample
+from matchdim.seeding import spawn_seed
 
 
 def block_counts(seq: SymbolSeq, k: int) -> dict[bytes, int]:
@@ -25,3 +26,21 @@ def block_counts(seq: SymbolSeq, k: int) -> dict[bytes, int]:
 def ordered_counts(counts: dict[bytes, int]) -> list[int]:
     """The counts in the lexicographic order of their windows, as window_counts gives them."""
     return [counts[key] for key in sorted(counts)]
+
+
+def scrabble_crosscheck(plan: harness.ExperimentPlan, n_raw: int = 4096) -> list[int]:
+    """Encoded-match length minus weighted score at matched windows, per trial.
+
+    The encoded windows are the exact stretched images of the raw length-n_raw
+    prefixes, so the two statistics may differ only by run-boundary effects.
+    """
+    enc = harness._encoder_for_trial(plan, 0)
+    src = harness._build_source(plan.source)
+    diffs = []
+    for trial in range(plan.trials):
+        x, y = (sample(src, n_raw, spawn_seed(plan.master_seed, trial, role))
+                for role in (harness._ROLE_X, harness._ROLE_Y))
+        ex, ey = (encode(enc, s, sum(enc.weights[a] for a in s.data)) for s in (x, y))
+        encoded_len = lcs_fast(ex, ey, want_witness=False).length
+        diffs.append(encoded_len - highest_score(x, y, n_raw, enc.weights).length)
+    return diffs

@@ -17,6 +17,7 @@ import yaml
 import matchdim as md
 from matchdim import harness
 from matchdim.seeding import spawn_seed
+from oracles import scrabble_crosscheck
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -144,7 +145,7 @@ def test_criterion_06_scrabble_law_and_crosscheck():
     dev = (res.fit.slope - theory) / theory
     with open(CONFIG_DIR / "scrabble.yaml") as fh:
         plan = harness.plan_from_config(yaml.safe_load(fh))
-    diffs = harness.scrabble_crosscheck(plan, n_raw=4096)
+    diffs = scrabble_crosscheck(plan, n_raw=4096)
     max_v = 2
     ok = abs(dev) <= 0.20 and all(abs(d) <= max_v for d in diffs)
     report("criterion 6 (scrabble law)", ok,

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from matchdim import (IIDSource, IdentityEncoder, InputExhausted, StretchEncoder,
+from matchdim import (Alphabet, IIDSource, IdentityEncoder, InputExhausted, StretchEncoder,
                       SymbolSeq, ZeroInflation, encode, sample)
 
 
-def seq(symbols, size=None):
-    return SymbolSeq.from_symbols(symbols, size)
+def seq(symbols, size):
+    return SymbolSeq(Alphabet(size), symbols)
 
 
 class TestIdentity:
     def test_passthrough(self):
-        s = seq([0, 1, 1, 0])
+        s = seq([0, 1, 1, 0], 2)
         assert encode(IdentityEncoder(), s, 4).data.tolist() == [0, 1, 1, 0]
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 50))
@@ -24,7 +24,7 @@ class TestIdentity:
 
     def test_exhausted(self):
         with pytest.raises(InputExhausted, match="10"):
-            encode(IdentityEncoder(), seq([0] * 4), 10)
+            encode(IdentityEncoder(), seq([0] * 4, 1), 10)
 
 
 class TestZeroInflation:
@@ -133,7 +133,10 @@ class TestStretch:
                 StretchEncoder(weights)
 
     def test_image_length(self):
+        # the image of a raw prefix is exactly as long as its weights add up to
         enc = StretchEncoder((1, 2))
         s = seq([0, 1, 1, 0], 2)
-        assert enc.image_length(s, 4) == 6
-        assert enc.image_length(s, 2) == 3
+        assert encode(enc, s, 6).data.tolist() == [0, 1, 1, 1, 1, 0]
+        assert encode(enc, s.prefix(2), 3).data.tolist() == [0, 1, 1]
+        with pytest.raises(InputExhausted):
+            encode(enc, s.prefix(2), 4)

@@ -181,7 +181,7 @@ class TestDominantEigenvalue:
 class TestEmpirical:
     @pytest.mark.filterwarnings("ignore:sequence length:RuntimeWarning")
     def test_constant_sequence_zero(self):
-        s = SymbolSeq.from_symbols([0] * 500, 2)
+        s = SymbolSeq(Alphabet(2), [0] * 500)
         for k in (1, 3, 7):
             assert renyi2_empirical(s, k).value == pytest.approx(0.0, abs=1e-14)
 
@@ -218,13 +218,13 @@ class TestEmpirical:
                "markov3": lambda: sample(MarkovSource.stationary(P3), n, 5),
                "iid10": lambda: sample(IIDSource(np.full(10, 0.1)), n, 6),
                "dirac": lambda: sample(MarkovSource(P, np.array([0.0, 1.0])), n, 7),
-               "const1": lambda: SymbolSeq.from_symbols([0] * n, 1),
-               "const2": lambda: SymbolSeq.from_symbols([1] * n, 2),
+               "const1": lambda: SymbolSeq(Alphabet(1), [0] * n),
+               "const2": lambda: SymbolSeq(Alphabet(2), [1] * n),
                # symbols past 2^31 are ranked before their codes are packed
                "huge": lambda: SymbolSeq(Alphabet(2 ** 40), np.random.default_rng(8).choice(
                    [0, 2 ** 31 + 7, 2 ** 40 - 1], n)),
                # from n = 156 on, k runs to the cap 39 = int(62 / log2 3)
-               "const3": lambda: SymbolSeq.from_symbols([2] * n, 3),
+               "const3": lambda: SymbolSeq(Alphabet(3), [2] * n),
                # the zero-padded windows at the end equal real all-zero windows
                "zero_tail": lambda: SymbolSeq(Alphabet(2), np.r_[
                    np.random.default_rng(9).integers(0, 2, max(n - 70, 0)), [0] * min(n, 70)]),
@@ -260,7 +260,7 @@ class TestEmpirical:
     @pytest.mark.parametrize("n", [0, 1])
     def test_plateau_rejects_sequences_shorter_than_two(self, n):
         with pytest.raises(ValueError, match="block length k=2"):
-            empirical_plateau(SymbolSeq.from_symbols([0] * n, 2))
+            empirical_plateau(SymbolSeq(Alphabet(2), [0] * n))
 
     def test_plateau_tracks_markov_closed_form(self):
         P = np.array([[0.9, 0.1], [0.3, 0.7]])

@@ -9,8 +9,8 @@ import yaml
 
 from matchdim import cli, harness
 from matchdim.harness import (ExperimentPlan, fit_slope, plan_from_config, run,
-                              scrabble_crosscheck, selftest,
-                              theoretical_slope_limit)
+                              selftest, theoretical_slope_limit)
+from oracles import scrabble_crosscheck
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -167,9 +167,22 @@ class TestTheoryLimits:
                                 system={"kind": "noniid_2x3x"})
         assert theoretical_slope_limit(noniid) == 2.0
 
-    def test_explicit_override(self):
-        plan = small_plan(theory=3.25)
-        assert theoretical_slope_limit(plan) == 3.25
+    def test_random_orbit_law_through_a_lipschitz_observation_is_estimated(self):
+        plan = plan_from_config({"experiment": "random_orbit_law",
+                                 "schedule": [64, 128, 256],
+                                 "system": {"kind": "toral_pair"},
+                                 "observation": {"kind": "lipschitz_affine",
+                                                 "matrix": [[1.0, 0.0]]}})
+        assert theoretical_slope_limit(plan) is None
+
+    def test_orbit_law_rejects_a_random_system_under_any_observation(self):
+        plan = ExperimentPlan(kind="orbit_law", schedule=(64, 128), trials=1,
+                              master_seed=0, system={"kind": "noniid_2x3x"},
+                              observation={"kind": "collapse",
+                                           "interval": [0.0, 0.5], "value": 0.25},
+                              expect_collapse=True)
+        with pytest.raises(ValueError, match="orbit_law needs a deterministic map system"):
+            theoretical_slope_limit(plan)
 
     @pytest.mark.parametrize("observation, target", [
         ({"kind": "identity"}, 1.0),
@@ -186,6 +199,47 @@ class TestTheoryLimits:
         assert result.theory_limit == target and len(result.rows) == 6
         assert result.fit is not None and np.isfinite(result.fit.slope)
         assert all(v > 0 for _, _, v in result.rows)
+
+    # Lebesgue on the 2-torus seen through one coordinate is Lebesgue on the circle
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_random_toral_pair_through_a_coordinate(self, index):
+        plan = plan_from_config({"experiment": "random_orbit_law", "seed": 3, "trials": 2,
+                                 "schedule": {"start_pow2": 6, "stop_pow2": 8},
+                                 "system": {"kind": "toral_pair"},
+                                 "observation": {"kind": "coordinate_projection",
+                                                 "index": index}})
+        assert theoretical_slope_limit(plan) == 2.0
+        result = run(plan)
+        assert result.theory_limit == 2.0 and len(result.rows) == 6
+        assert result.fit is not None and np.isfinite(result.fit.slope)
+
+    # the target of each committed config, None where it is estimated or collapses
+    COMMITTED_TARGETS = {
+        "entropy_markov": 0.20728471264587625,
+        "entropy_markov_dirac": 0.20728471264587625,
+        "entropy_zero_inflation": 0.48520302639196167,
+        "lcs_fair_coin": 2.8853900817779268,
+        "lcs_markov": 9.648564886773807,
+        "lcs_markov_dirac": 9.648564886773807,
+        "orbit_collapse": None,
+        "orbit_doubling": 2.0,
+        "random_noniid": 2.0,
+        "random_perturbed": None,
+        "random_toral": 1.0,
+        "scrabble": 4.4875174417037265,
+        "zero_inflation": 4.121985831111324,
+        "zero_inflation_baseline": 2.8853900817779268,
+    }
+
+    def test_committed_config_targets_are_pinned(self):
+        targets = {}
+        for path in sorted(CONFIG_DIR.glob("*.yaml")):
+            with open(path) as fh:
+                targets[path.stem] = theoretical_slope_limit(plan_from_config(yaml.safe_load(fh)))
+        assert targets.keys() == self.COMMITTED_TARGETS.keys()
+        for name, target in self.COMMITTED_TARGETS.items():
+            assert targets[name] == (None if target is None
+                                     else pytest.approx(target, rel=1e-12)), name
 
 
 class TestRun:
@@ -239,25 +293,17 @@ class TestRun:
         assert result.fit is None and result.details == {}
         assert result.passed == result.collapse_detected == (collapses > 0)
 
-    def test_orbit_with_a_flat_observed_axis(self):
-        # the second observed coordinate is identically 0, so the cube frame
-        # has an axis of no width; a numeric theory skips the dimension
-        # estimate, whose 10^5-point pair count is not what is tested here
-        plan = ExperimentPlan(kind="orbit_law", schedule=(256, 512, 1024, 2048),
-                              trials=2, master_seed=5, system={"kind": "times_m", "m": 2},
-                              observation={"kind": "lipschitz_affine",
-                                           "matrix": [[1.0], [0.0]]}, theory=2.0)
-        result = run(plan)
-        assert len(result.rows) == 8 and result.fit is not None
-
     def test_dimension_of_an_orbit_laid_into_the_plane(self):
         # the radius window follows the system's dimension, not the ambient
-        # one, so the estimate on the line sees pairs at the scale of a line
+        # one, so the estimate on the line sees pairs at the scale of a line;
+        # the second observed coordinate is identically 0, so the cube frame
+        # of the trials has an axis of no width
         plan = ExperimentPlan(kind="orbit_law", schedule=(256, 512, 1024, 2048),
                               trials=2, master_seed=5, system={"kind": "times_m", "m": 2},
                               observation={"kind": "lipschitz_affine",
                                            "matrix": [[1.0], [0.0]]})
         result = run(plan)
+        assert len(result.rows) == 8 and result.fit is not None
         assert result.details["estimated_dimension"] == pytest.approx(1.0, abs=0.02)
         assert result.theory_limit == pytest.approx(2.0 / result.details["estimated_dimension"])
 
@@ -279,16 +325,6 @@ class TestRun:
         cfg["sample_length"] = 100_000  # plateau 0.2177 against 0.2073
         assert run(plan_from_config({**cfg, "tolerance_abs": 0.05})).passed
         assert not run(plan_from_config({**cfg, "tolerance_abs": 1e-9})).passed
-
-    def test_numeric_theory_is_the_entropy_target(self):
-        plan = ExperimentPlan(kind="entropy_check", schedule=(1,), trials=1,
-                              master_seed=9, sample_length=20_000,
-                              source={"kind": "iid", "probs": [0.5, 0.5]},
-                              theory=0.5, tolerance_frac=0.10)
-        result = run(plan)
-        assert result.theory_limit == 0.5
-        assert result.to_csv().splitlines()[1].split(",")[-1] == "0.5"
-        assert not result.passed  # the plateau is near log 2, not 0.5
 
     @pytest.mark.parametrize("plan", [
         small_plan(),
@@ -456,7 +492,7 @@ class TestCli:
         ({"schedule": [64, 128]}, "at least three schedule points"),
         ({"tolerance_frac": "abc"}, "tolerance_frac must be a nonnegative number"),
         ({"tolerance_abs": -0.25}, "tolerance_abs must be a nonnegative number"),
-        ({"theory": "atuo"}, "theory must be 'auto' or a number"),
+        ({"theory": "atuo"}, "unrecognized config keys: ['theory']"),
         # specs that do not fit together, caught when the target is resolved
         ({"encoder": {"kind": "stretch", "weights": [1, 2, 3]}},
          "3 weights for an alphabet of 2 symbols"),
@@ -466,8 +502,9 @@ class TestCli:
          "zero-inflation closed form needs an i.i.d. source"),
         ({"experiment": "orbit_law", "system": {"kind": "perturbed_times_m"}},
          "orbit_law needs a deterministic map system"),
-        # a numeric theory does not skip the check that the specs fit together
-        ({"encoder": {"kind": "stretch", "weights": [1]}, "theory": 3.0}, "missing weight"),
+        ({"experiment": "scrabble_law",
+          "source": {"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]]},
+          "encoder": {"kind": "stretch", "weights": [1]}}, "missing weight"),
         # integers and flags are never coerced from another type
         ({"trials": 2.5}, "trials must be an integer, got 2.5"),
         ({"trials": True}, "trials must be an integer, got True"),
@@ -517,10 +554,10 @@ class TestCli:
         ({"source": {"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]],
                      "initial": [1, "0"]}},
          "markov initial entry must be a number, got '0'"),
-        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2}, "theory": 2.0,
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
           "observation": {"kind": "lipschitz_affine", "matrix": [["1.0"], [0.0]]}},
          "lipschitz_affine matrix entry must be a number, got '1.0'"),
-        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2}, "theory": 2.0,
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
           "observation": {"kind": "lipschitz_affine", "matrix": [[1.0], [0.0]],
                           "offset": [0.0, True]}},
          "lipschitz_affine offset entry must be a number, got True"),
@@ -535,6 +572,17 @@ class TestCli:
         ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
           "observation": {"kind": "collapse", "interval": [0.0, 0.5, 0.9], "value": 0.25}},
          "collapse interval must have two entries, got 3"),
+        # an observation that does not fit the system, caught on one observed point
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "observation": {"kind": "coordinate_projection", "index": 3}},
+         "projection index 3 out of range"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "observation": {"kind": "lipschitz_affine", "matrix": [[1.0, 0.0]]}},
+         "affine observation dimension mismatch"),
+        ({"experiment": "random_orbit_law", "system": {"kind": "toral_pair"},
+          "observation": {"kind": "collapse", "interval": [0.0, 0.5], "value": 0.25},
+          "expect_collapse": True},
+         "collapse observation supports 1-d orbits"),
     ])
     def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
         cfg = self._write_config(tmp_path, **override)

@@ -9,8 +9,8 @@ from matchdim import (Alphabet, IIDSource, IdentityEncoder, StretchEncoder,
 from matchdim.matching import lcs_lengths_over_schedule, masked_window_lcs
 
 
-def seq(symbols, size=None):
-    return SymbolSeq.from_symbols(symbols, size)
+def seq(symbols, size):
+    return SymbolSeq(Alphabet(size), symbols)
 
 
 def random_pair(seed, max_len=60, max_size=5):
@@ -383,8 +383,7 @@ class TestStretchScoreConsistency:
         n = 24
         x = SymbolSeq(Alphabet(2), rng.integers(0, 2, n))
         y = SymbolSeq(Alphabet(2), rng.integers(0, 2, n))
-        ex = encode(enc, x, enc.image_length(x, n))
-        ey = encode(enc, y, enc.image_length(y, n))
+        ex, ey = (encode(enc, s, sum(weights[a] for a in s.data)) for s in (x, y))
         m_enc = lcs_fast(ex, ey).length
         v = highest_score(x, y, n, weights).length
         assert 0 <= m_enc - v <= max(weights)

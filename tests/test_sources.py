@@ -11,8 +11,8 @@ from matchdim.sources import WindowClasses, collision_sum, window_counts
 from oracles import block_counts, ordered_counts
 
 
-def seq(symbols, size=None):
-    return SymbolSeq.from_symbols(symbols, size)
+def seq(symbols, size):
+    return SymbolSeq(Alphabet(size), symbols)
 
 
 class TestValidation:
@@ -120,13 +120,13 @@ class TestBlockCounts:
     """The per-window oracle, and `window_counts` against it on each case."""
 
     def test_hand_enumerated(self):
-        counts = block_counts(seq([0, 1, 0, 1]), 2)
+        counts = block_counts(seq([0, 1, 0, 1], 2), 2)
         assert counts == {bytes([0, 1]): 2, bytes([1, 0]): 1}
-        assert window_counts(seq([0, 1, 0, 1]), 2).tolist() == ordered_counts(counts)
+        assert window_counts(seq([0, 1, 0, 1], 2), 2).tolist() == ordered_counts(counts)
 
     def test_single_symbol(self):
-        assert block_counts(seq([0, 0, 0, 0]), 1) == {bytes([0]): 4}
-        assert window_counts(seq([0, 0, 0, 0]), 1).tolist() == [4]
+        assert block_counts(seq([0, 0, 0, 0], 1), 1) == {bytes([0]): 4}
+        assert window_counts(seq([0, 0, 0, 0], 1), 1).tolist() == [4]
 
     def test_window_arithmetic(self):
         s = sample(IIDSource(np.array([0.5, 0.5])), 100, 3)
@@ -136,9 +136,9 @@ class TestBlockCounts:
     def test_k_out_of_range(self):
         for count in (block_counts, window_counts):
             with pytest.raises(ValueError):
-                count(seq([0, 1]), 3)
+                count(seq([0, 1], 2), 3)
             with pytest.raises(ValueError):
-                count(seq([0, 1]), 0)
+                count(seq([0, 1], 2), 0)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -253,16 +253,16 @@ class TestWindowClasses:
 
 class TestCollisionProbability:
     def test_constant_sequence(self):
-        s = seq([0, 0, 0, 0])
+        s = seq([0, 0, 0, 0], 1)
         for k in range(1, 5):
             assert collision_sum(window_counts(s, k)) == 1.0
 
     def test_two_symbols(self):
-        assert collision_sum(window_counts(seq([0, 1]), 1)) == pytest.approx(0.5)
+        assert collision_sum(window_counts(seq([0, 1], 2), 1)) == pytest.approx(0.5)
 
     def test_hand_enumeration(self):
         # 0101 at k=2: windows 01,10,01 -> (2/3)^2 + (1/3)^2
-        assert collision_sum(window_counts(seq([0, 1, 0, 1]), 2)) == pytest.approx(5 / 9)
+        assert collision_sum(window_counts(seq([0, 1, 0, 1], 2), 2)) == pytest.approx(5 / 9)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 80), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
