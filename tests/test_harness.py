@@ -293,6 +293,19 @@ class TestRun:
         assert result.fit is None and result.details == {}
         assert result.passed == result.collapse_detected == (collapses > 0)
 
+    def test_orbit_with_a_flat_observed_axis(self):
+        # the first observed coordinate is identically 0, so the cube frame
+        # of the trials has an axis of no width ahead of the one that varies
+        plan = ExperimentPlan(kind="orbit_law", schedule=(256, 512, 1024, 2048),
+                              trials=2, master_seed=5, system={"kind": "times_m", "m": 2},
+                              observation={"kind": "lipschitz_affine",
+                                           "matrix": [[0.0], [1.0]]})
+        result = run(plan)
+        assert len(result.rows) == 8 and result.fit is not None
+        assert np.isfinite(result.fit.slope)
+        assert all(v > 0 for _, _, v in result.rows)
+        assert result.theory_limit == pytest.approx(2.0 / result.details["estimated_dimension"])
+
     def test_dimension_of_an_orbit_laid_into_the_plane(self):
         # the radius window follows the system's dimension, not the ambient
         # one, so the estimate on the line sees pairs at the scale of a line;
