@@ -317,8 +317,9 @@ def _observed_system(plan: ExperimentPlan) -> tuple[
     """An orbit plan's system and observation, and the observed dimension
     min(observed coordinates, system dimension).
 
-    The observation is applied to one point, so one that does not fit the
-    system fails when the plan is made, not in a trial.
+    The observation is applied to the origin and, for a collapse, to a point
+    of its interval, so one that does not fit the system fails when the plan
+    is made, not in a trial.
     """
     system = _build_system(plan.system)
     is_random = isinstance(system, dynamics.SkewSystem)
@@ -327,7 +328,11 @@ def _observed_system(plan: ExperimentPlan) -> tuple[
     if plan.kind == "orbit_law" and is_random:
         raise ValueError("orbit_law needs a deterministic map system")
     obs = _build_observation(plan.observation)
-    probe = dynamics.observe(obs, dynamics.Orbit(np.zeros((1, system.dim))))
+    # the origin, and for a collapse the point of [0, 1) nearest its interval's start
+    start = obs.interval[0] if isinstance(obs, dynamics.Collapse) else 0.0
+    points = np.zeros((2, system.dim))
+    points[1] = min(max(start, 0.0), math.nextafter(1.0, 0.0))
+    probe = dynamics.observe(obs, dynamics.Orbit(points))
     # a Lipschitz observation cannot raise the dimension of the orbit it observes
     return system, obs, min(probe.dim, system.dim)
 
@@ -625,6 +630,27 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
             mismatches += sum(est != entropy.renyi2_empirical(seq, est.k) for est in table)
     checks.append(("entropy plateau / per-k oracle equivalence (60 sequences)",
                    mismatches == 0, f"{mismatches} mismatched rows"))
+
+    # a threshold of 0 or 1 is a deterministic row and t_0 < t_1 gives swap
+    # steps; `sample` runs 2 * 4096 + 3 symbols, across two chunk ends
+    mismatches = 0
+    pairs = [(0.0, 1.0), (1.0, 0.0), (0.0, 0.4), (0.7, 1.0), (0.3, 0.3), (1.0, 1.0)]
+    pairs += [tuple(rng.random(2).tolist()) for _ in range(34)]
+    n = 2 * sources._SAMPLE_CHUNK + 3
+    for t0, t1 in pairs:
+        rows = [(t0,), (t1,)]
+        v = rng.random(int(rng.integers(1, n + 1)))
+        v[::31], v[1::31] = t0, t1  # uniforms on a threshold take the upper bucket
+        for state in (0, 1):
+            mismatches += not np.array_equal(sources._two_state_walk(rows, v, state),
+                                             sources._chain_walk(rows, v, state))
+        chain = sources.MarkovSource(np.array([[t0, 1 - t0], [t1, 1 - t1]]), np.full(2, 0.5))
+        seed = int(rng.integers(2 ** 32))
+        got = sources.sample(chain, n, seed).data.tolist()
+        u = np.random.default_rng(seed).random(n)
+        mismatches += got[1:] != sources._chain_walk(rows, u[1:], got[0])
+    checks.append(("two-state sampler / per-step loop equivalence (40 chains)",
+                   mismatches == 0, f"{mismatches} mismatches"))
 
     return SelfTestReport(checks)
 

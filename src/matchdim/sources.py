@@ -4,7 +4,9 @@ This module provides:
 - Immutable symbol sequences over a finite alphabet (symbols 0..size-1), and
   the one rule for per-symbol weights: one positive integer per symbol.
 - Samplers for i.i.d. and Markov sources, deterministic in (source, n, seed),
-  using one inverse-CDF uniform per emitted symbol.
+  using one inverse-CDF uniform per emitted symbol. A two-state chain is
+  walked with no loop (`_two_state_walk`); a larger one steps one symbol at a
+  time (`_chain_walk`).
 - Overlapping window (block) counts and the collision sum sum_B (N_B / M)^2
   over observed length-k blocks, the plug-in ingredient of the order-2 rate.
 - Exact codes of the zero-padded windows of one length at every start, built
@@ -170,7 +172,8 @@ def sample(source: IIDSource | MarkovSource, n: int, seed: int) -> SymbolSeq:
     One uniform is consumed per symbol, mapped through the inverse CDF of the
     relevant distribution (marginal for i.i.d., active row for Markov), so an
     i.i.d. source and a Markov source with identical rows consume randomness
-    identically.
+    identically. A two-state chain is walked with no per-symbol loop; a larger
+    one steps one symbol at a time. Both give the same states.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -184,20 +187,51 @@ def sample(source: IIDSource | MarkovSource, n: int, seed: int) -> SymbolSeq:
         d = P.shape[0]
         # per-row upper thresholds, final bucket implicit
         rows = [tuple(np.cumsum(P[i])[:-1]) for i in range(d)]
+        walk = _two_state_walk if d == 2 else _chain_walk
         init_cum = np.cumsum(source.initial)
-        state = int(_inverse_cdf(init_cum, u[:1])[0])
         data = np.empty(n, dtype=np.int64)
-        data[0] = state
-        # fixed chunks bound the Python floats and ints alive at once
+        data[0] = _inverse_cdf(init_cum, u[:1])[0]
+        # fixed chunks bound the memory alive at once; the state carries over
         for lo in range(1, n, _SAMPLE_CHUNK):
-            states = []
-            for x in u[lo:lo + _SAMPLE_CHUNK].tolist():
-                state = bisect.bisect_right(rows[state], x)
-                states.append(state)
-            data[lo:lo + len(states)] = states
+            hi = min(lo + _SAMPLE_CHUNK, n)
+            data[lo:hi] = walk(rows, u[lo:hi], int(data[lo - 1]))
     else:
         raise ValueError(f"unsupported source type: {type(source).__name__}")
     return SymbolSeq(Alphabet(int(source.alphabet.size)), data)
+
+
+def _chain_walk(rows, v: np.ndarray, state: int) -> list[int]:
+    """The states after each uniform of v from `state`, one bisect per step.
+
+    `rows[s]` holds the upper thresholds of row s, its last bucket implicit.
+    """
+    states = []
+    for x in v.tolist():
+        state = bisect.bisect_right(rows[state], x)
+        states.append(state)
+    return states
+
+
+def _two_state_walk(rows, v: np.ndarray, state: int) -> np.ndarray:
+    """`_chain_walk` of a two-state chain, with no per-step loop.
+
+    From state s the next state is [x >= t_s], t_s = rows[s][0]. A uniform
+    below both thresholds or at or above both is a fixed step: every state goes
+    to [x >= hi]. Between them it keeps the state, or swaps it when t_0 < t_1.
+    So each state is the value of the last fixed step (or the carried state),
+    XOR the parity of the swaps since.
+    """
+    t0, t1 = rows[0][0], rows[1][0]
+    lo, hi = min(t0, t1), max(t0, t1)
+    up = v >= hi
+    fixed = up | (v < lo)
+    # 1 + index of the last fixed step so far, 0 before the first
+    last = np.maximum.accumulate(np.where(fixed, np.arange(1, v.size + 1), 0))
+    states = np.concatenate(([state], up))[last]
+    if t0 < t1:
+        swaps = np.concatenate(([0], np.cumsum(~fixed)))
+        states ^= (swaps[1:] - swaps[last]) & 1
+    return states
 
 
 def _check_block_len(seq: SymbolSeq, k: int) -> None:

@@ -596,6 +596,11 @@ class TestCli:
           "observation": {"kind": "collapse", "interval": [0.0, 0.5], "value": 0.25},
           "expect_collapse": True},
          "collapse observation supports 1-d orbits"),
+        # a collapse value off the torus, on an interval that misses the origin
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "observation": {"kind": "collapse", "interval": [0.2, 0.5], "value": 1.5},
+          "expect_collapse": True},
+         "torus coordinates must lie in [0, 1)"),
     ])
     def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
         cfg = self._write_config(tmp_path, **override)

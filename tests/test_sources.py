@@ -73,6 +73,13 @@ class TestSample:
         long = sample(src, 2000, 7)
         assert np.array_equal(short.data, long.data[:500])
 
+    def test_prefix_stability_across_a_chunk_end(self):
+        # 4097 symbols end one past the first 4096-uniform chunk of the walk
+        src = MarkovSource.stationary(np.array([[0.2, 0.8], [0.6, 0.4]]))
+        short = sample(src, 4097, 7)
+        long = sample(src, 9000, 7)
+        assert np.array_equal(short.data, long.data[:4097])
+
     def test_fair_coin_frequency(self):
         # binomial: 0.002 = 4 sigma at n = 1e6
         s = sample(IIDSource(np.array([0.5, 0.5])), 10 ** 6, 2024)
@@ -100,11 +107,21 @@ class TestSample:
         assert chi2 < 30.0  # df=3, far beyond any sane quantile
 
 
-    @pytest.mark.parametrize("seed", [0, 5, 17])
-    def test_markov_matches_inverse_cdf_loop(self, seed):
-        P = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
-        init = np.array([0.1, 0.3, 0.6])
-        n = 3000
+    # the d = 3 chain keeps the bare seed ids; each two-state chain runs the same seeds
+    @pytest.mark.parametrize("seed, P, init", [
+        pytest.param(seed, [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]],
+                     [0.1, 0.3, 0.6], id=str(seed)) for seed in (0, 5, 17)] + [
+        pytest.param(seed, P, init, id=f"{name}-{seed}") for name, P, init in [
+            ("committed", [[0.9, 0.1], [0.3, 0.7]], [0.75, 0.25]),
+            ("swap", [[0.2, 0.8], [0.6, 0.4]], [0.5, 0.5]),  # P[0, 0] < P[1, 0]
+            ("flip", [[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]),
+            ("absorbing", [[1.0, 0.0], [0.5, 0.5]], [0.5, 0.5]),
+            ("identical", [[0.3, 0.7], [0.3, 0.7]], [0.3, 0.7]),
+        ] for seed in (0, 5, 17)])
+    def test_markov_matches_inverse_cdf_loop(self, seed, P, init):
+        # 2 * 4096 + 3 symbols: the walk crosses two chunk ends
+        P, init = np.array(P), np.array(init)
+        n = 2 * 4096 + 3
         u = np.random.default_rng(seed).random(n)
         state = int(np.searchsorted(np.cumsum(init), u[0], "right"))
         expected = [state]
