@@ -319,7 +319,8 @@ def _observed_system(plan: ExperimentPlan) -> tuple[
 
     The observation is applied to the origin and, for a collapse, to a point
     of its interval, so one that does not fit the system fails when the plan
-    is made, not in a trial.
+    is made, not in a trial. So does a collapse interval that misses the
+    torus, which could never collapse an orbit.
     """
     system = _build_system(plan.system)
     is_random = isinstance(system, dynamics.SkewSystem)
@@ -328,8 +329,12 @@ def _observed_system(plan: ExperimentPlan) -> tuple[
     if plan.kind == "orbit_law" and is_random:
         raise ValueError("orbit_law needs a deterministic map system")
     obs = _build_observation(plan.observation)
+    start = 0.0
+    if isinstance(obs, dynamics.Collapse):
+        start, end = obs.interval
+        if end < 0.0 or start >= 1.0:  # the observation would be the identity
+            raise ValueError(f"collapse interval [{start}, {end}] misses the torus [0, 1)")
     # the origin, and for a collapse the point of [0, 1) nearest its interval's start
-    start = obs.interval[0] if isinstance(obs, dynamics.Collapse) else 0.0
     points = np.zeros((2, system.dim))
     points[1] = min(max(start, 0.0), math.nextafter(1.0, 0.0))
     probe = dynamics.observe(obs, dynamics.Orbit(points))
@@ -493,14 +498,20 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
     checks.append(("lcs fast/reference equivalence (300 pairs)",
                    mismatches == 0, f"{mismatches} mismatches"))
 
-    # near copies: matches pass the packed span (62 binary symbols) and twice it
+    # near copies, identical and periodic pairs: matches pass the packed span
+    # (62 binary symbols) and twice it, and in the last two every window meets
     mismatches = longest = 0
-    for _ in range(20):
+    for t in range(40):
         size, n = int(rng.integers(2, 5)), int(rng.integers(150, 401))
         xd = rng.integers(0, size, n)
         yd = xd.copy()
-        at = rng.integers(0, n, int(rng.integers(1, 4)))
-        yd[at] = (yd[at] + rng.integers(1, size, at.size)) % size
+        if t % 2 == 0:
+            at = rng.integers(0, n, int(rng.integers(1, 4)))
+            yd[at] = (yd[at] + rng.integers(1, size, at.size)) % size
+        elif t % 4 == 3:  # two shifts of one string of period 2 to 7
+            period = int(rng.integers(2, 8))
+            whole = np.resize(xd[:period], n + period)
+            xd, yd = whole[:n], whole[int(rng.integers(0, period)):][:n]
         x, y = (sources.SymbolSeq(sources.Alphabet(size), d) for d in (xd, yd))
         ref = matching.lcs_oracle(x, y)
         longest = max(longest, ref.length)
@@ -508,7 +519,8 @@ def selftest(seed: int = 20_240_601) -> SelfTestReport:
         mismatches += matching.lcs_fast(x, y) != ref
         mismatches += matching.lcs_lengths_over_schedule(x, y, schedule) != [
             matching.lcs_oracle(x.prefix(m), y.prefix(m)).length for m in schedule]
-    checks.append(("long-match lcs fast/schedule/reference equivalence (20 near copies)",
+    checks.append(("long-match lcs fast/schedule/reference equivalence "
+                   "(20 near copies, 10 identical and 10 periodic pairs)",
                    mismatches == 0, f"{mismatches} mismatches, longest match {longest}"))
 
     bad_distance = bad_witness = 0

@@ -2,12 +2,17 @@
 
 Two routes are provided for the longest common substring of two symbol
 sequences: a quadratic dynamic-programming oracle (`lcs_oracle`) and a fast
-path (`lcs_fast`) built on exact window keys of the concatenated pair
+path built on exact window keys of the concatenated pair
 (`sources.WindowClasses`: packed base-size codes for windows up to 62 bits,
 prefix-doubling ranks past them). A k-window match exists when the sorted,
-side-tagged keys of the two sequences meet (`_keys_meet`); the longest k is
-found by an exponential probe then a bisection. Masked matching scans k up
-over `sources.anchored_window_codes` with the same test. The fast path is
+side-tagged keys of the two sequences meet (`_keys_meet`). One kernel
+(`_longest_common`) serves `lcs_fast`, on sequences of any two lengths, and
+`lcs_lengths_over_schedule`, on matched prefixes: for each length it sorts
+the packed keys of every window once, keeps the starts of the windows whose
+class the other side holds (the survivors), and finds the longest k by an
+exponential probe then a bisection over the survivors alone, since a longer
+match starts where a shorter one does. Masked matching scans k up over
+`sources.anchored_window_codes` with the same meet test. The fast path is
 the production route, cross-checked by the independent oracle.
 
 `highest_score` generalizes match length to weighted match score: every
@@ -93,44 +98,89 @@ def _check_schedule(schedule, limit: int) -> list[int]:
     return ns
 
 
-def _longest_over_schedule(exists, ns: list[int]) -> list[int]:
-    """Largest k with exists(n, k), for each n of a strictly increasing schedule.
+def _keys_meet(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """The keys both arrays hold, sorted; keys lie in [0, 2^62)."""
+    # sorted side-tagged keys: a key on both sides puts 2c (x) next to
+    # 2c+1 (y), the only neighbours that differ in the tag bit alone
+    tagged = np.concatenate((kx * 2, ky * 2 + 1))
+    tagged.sort()
+    return tagged[1:][(tagged[1:] ^ tagged[:-1]) == 1] >> 1
 
-    exists(n, k) must be monotone: true for k implies true for k - 1. The
-    optimum is nondecreasing in n, so each n starts from the previous answer,
-    probes best + 1, best + 2, best + 4, ... and bisects the last gap (plain LCS).
+
+def _held(keys: np.ndarray, common: np.ndarray) -> np.ndarray:
+    """Which keys lie in common, a sorted nonempty array."""
+    return common[np.minimum(np.searchsorted(common, keys), common.size - 1)] == keys
+
+
+def _survivors(keys: np.ndarray, common: np.ndarray) -> np.ndarray:
+    """Indices of the keys that lie in common, or of every key when common
+    holds half as many or more: half or more survive then, and a search per
+    key costs more than it saves the later probes."""
+    if 2 * common.size >= keys.size:
+        return np.arange(keys.size)
+    return np.flatnonzero(_held(keys, common))
+
+
+def _longest_common(classes: WindowClasses, nx: int, sizes
+                    ) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Longest common substring of x[:mx] and y[:my] for each (mx, my) in sizes.
+
+    classes holds x ++ y, x being nx long, and sizes grow in both entries,
+    so each answer starts from the one before. Each size makes one full
+    probe, of every window of both prefixes at k0 = min(best + 1, span) on
+    the packed codes. Its one sort also yields the survivors: the starts of
+    every window whose class the other prefix holds. A k-match starts at a
+    k0-match, so every further probe (best + 1, best + 2, best + 4, ... then
+    a bisection of the last gap) tests only the survivors whose k-window
+    fits, and one that meets narrows them to the windows that met
+    (`_survivors`).
+
+    Returns the lengths, and the survivors of x and of y after the last
+    probe that met, as starts in x ++ y: with one size, every window of the
+    answer that the other side holds starts among them.
     """
-    out = []
-    best = 0
-    for n in ns:
+    span, out, best = classes.span, [], 0
+    sx = sy = np.zeros(0, dtype=np.int64)
+    for mx, my in sizes:
+        limit, k = min(mx, my), min(best + 1, span)
+        if best >= limit:
+            out.append(best)
+            continue
+        kx, ky = classes.keys(k, 0, mx - k + 1), classes.keys(k, nx, nx + my - k + 1)
+        common = _keys_meet(kx, ky)
+        if common.size == 0:  # only a probe of best + 1 can fail here
+            out.append(best)
+            continue
+        sx, sy = _survivors(kx, common), _survivors(ky, common) + nx
+
+        def probe(k: int) -> bool:
+            nonlocal sx, sy
+            fx, fy = sx[sx <= mx - k], sy[sy <= nx + my - k]
+            if fx.size == 0 or fy.size == 0:
+                return False
+            keys = classes.keys_at(k, np.concatenate((fx, fy)), mx + my)
+            kx, ky = keys[:fx.size], keys[fx.size:]
+            common = _keys_meet(kx, ky)
+            if common.size:
+                sx, sy = fx[_survivors(kx, common)], fy[_survivors(ky, common)]
+            return common.size > 0
+
         step = 1
-        while best + step <= n and exists(n, best + step):
+        if k > best:  # the full probe was the probe of best + 1
+            best, step = k, 2
+        while best + step <= limit and probe(best + step):
             best += step
             step *= 2
-        lo, hi = best, min(best + step, n + 1)
+        lo, hi = best, min(best + step, limit + 1)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if exists(n, mid):
+            if probe(mid):
                 lo = mid
             else:
                 hi = mid
         best = lo
         out.append(best)
-    return out
-
-
-def _keys_meet(kx: np.ndarray, ky: np.ndarray) -> bool:
-    """Whether the key arrays share a value; keys lie in [0, 2^62)."""
-    # sorted side-tagged keys: a key on both sides puts 2c (x) next to
-    # 2c+1 (y), the only neighbours that differ in the tag bit alone
-    tagged = np.concatenate((kx * 2, ky * 2 + 1))
-    tagged.sort()
-    return bool(np.any((tagged[1:] ^ tagged[:-1]) == 1))
-
-
-def _classes_meet(classes: WindowClasses, k: int, nx: int, mx: int, my: int) -> bool:
-    """Whether a k-window of x[:mx] equals one of y[:my], classes being of x[:nx] ++ y."""
-    return _keys_meet(classes.keys(k, 0, mx - k + 1), classes.keys(k, nx, nx + my - k + 1))
+    return out, sx, sy
 
 
 def lcs_fast(x: SymbolSeq, y: SymbolSeq, want_witness: bool = True) -> MatchResult:
@@ -144,29 +194,29 @@ def lcs_fast(x: SymbolSeq, y: SymbolSeq, want_witness: bool = True) -> MatchResu
     _check_pair(x, y)
     nx, ny = x.length, y.length
     classes = WindowClasses(np.concatenate((x.data, y.data)))
-    best = _longest_over_schedule(
-        lambda n, k: _classes_meet(classes, k, nx, nx, ny), [min(nx, ny)])[0]
+    (best,), sx, sy = _longest_common(classes, nx, [(nx, ny)])
     if best == 0 or not want_witness:
         return MatchResult(best, (0, 0, 0))
-    kx = classes.keys(best, 0, nx - best + 1)
-    ky = classes.keys(best, nx, nx + ny - best + 1)
-    i = int(np.argmax(np.isin(kx, ky)))
+    fx, fy = sx[sx <= nx - best], sy[sy <= nx + ny - best]
+    keys = classes.keys_at(best, np.concatenate((fx, fy)), nx + ny)
+    kx, ky = keys[:fx.size], keys[fx.size:]
+    i = int(np.argmax(_held(kx, _keys_meet(kx, ky))))
     j = int(np.argmax(ky == kx[i]))
-    return MatchResult(best, (i, j, best))
+    return MatchResult(best, (int(fx[i]), int(fy[j]) - nx, best))
 
 
 def lcs_lengths_over_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]:
     """Longest-common-substring lengths of matched prefixes for each n in schedule.
 
     One set of window classes over x[:top] ++ y[:top], top = max(schedule),
-    serves every n; it sorts only for matches longer than its packed span,
-    and its ranked levels are built only as deep as the longest match.
+    serves every n; each n sorts the packed keys of its prefixes once, and
+    later probes test only the windows that can still match.
     """
     _check_pair(x, y)
     ns = _check_schedule(schedule, min(x.length, y.length))
     top = ns[-1]
     classes = WindowClasses(np.concatenate((x.data[:top], y.data[:top])))
-    return _longest_over_schedule(lambda n, k: _classes_meet(classes, k, top, n, n), ns)
+    return _longest_common(classes, top, [(n, n) for n in ns])[0]
 
 
 def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask, schedule) -> list[int]:
@@ -193,7 +243,7 @@ def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask, schedule) -> list[int]:
     (cx, cy), k, out = next(codes), 1, []
     for n in ns:
         # the length-n prefixes hold n - k + 1 k-windows; k - 1 already matches
-        while k <= n and _keys_meet(cx[:n - k + 1], cy[:n - k + 1]):
+        while k <= n and _keys_meet(cx[:n - k + 1], cy[:n - k + 1]).size:
             k += 1
             cx, cy = next(codes, (cx, cy))  # runs out only once k passes ns[-1]
         out.append(k - 1)

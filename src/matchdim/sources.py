@@ -14,7 +14,7 @@ This module provides:
   classes and the entropy plateau.
 - Exact window keys of any length (`WindowClasses`), shared by window counts
   and the substring matcher: packed codes up to 62 bits, prefix-doubling
-  ranks past them.
+  ranks past them, for a range of starts or for chosen ones.
 - Exact mask-anchored window codes for k = 1, 2, ... (`anchored_window_codes`),
   the scan of the masked matcher.
 - Stationary distributions of finite chains via power iteration.
@@ -288,8 +288,11 @@ class WindowClasses:
     (rank_j[i], rank_j[i + L_j]). A k-window with L_j <= k < 2 L_j has the
     key (rank_j[i], rank_j[i + k - L_j]), packed into one int64. Keys are
     equal exactly when the windows are and follow their lexicographic order.
-    Ranked levels are built lazily, only as deep as the longest window asked
-    for. Arrays up to 2^31 symbols.
+    Ranked levels span the whole array; they are built lazily, only as deep
+    as the longest window asked for, and kept. Arrays up to 2^31 symbols.
+
+    `keys` gives the keys of a range of starts, comparable across calls;
+    `keys_at` those of chosen starts, comparable within one call.
     """
 
     def __init__(self, symbols):
@@ -322,11 +325,21 @@ class WindowClasses:
             self._bases.append(int(nxt.max()) + 1)
         return self._ranks[j], self._bases[j]
 
+    def _ranked_keys(self, k: int, starts: np.ndarray) -> np.ndarray:
+        """Keys of the k-windows at starts from the ranked level of k > span."""
+        j = int(k // self.span).bit_length() - 1
+        ids, base = self._ranked(j)
+        rest = k - (self.span << j)
+        if rest == 0:
+            return ids[starts]
+        return ids[starts] * base + ids[starts + rest]
+
     def keys(self, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Keys of the k-windows starting in [start, stop); equal iff the windows are.
 
-        Keys follow the lexicographic order of the windows. `stop` defaults
-        to the last window start, length - k + 1.
+        Keys follow the lexicographic order of the windows, and keys from
+        different calls compare. `stop` defaults to the last window start,
+        length - k + 1.
         """
         if not 1 <= k <= self.length:
             raise ValueError(f"window length k={k} out of range [1, {self.length}]")
@@ -336,12 +349,30 @@ class WindowClasses:
             raise ValueError(f"window starts [{start}, {stop}) out of range [0, {last})")
         if k <= self.span:
             return self._codes[start:stop] // self._size ** (self.span - k)
-        j = int(k // self.span).bit_length() - 1
-        ids, base = self._ranked(j)
-        rest = k - (self.span << j)
-        if rest == 0:
-            return ids[start:stop]
-        return ids[start:stop] * base + ids[start + rest:stop + rest]
+        return self._ranked_keys(k, np.arange(start, stop))
+
+    def keys_at(self, k: int, starts: np.ndarray, budget: int) -> np.ndarray:
+        """Keys of the k-windows at the given starts, each window inside the array.
+
+        Keys are equal exactly when the windows are and follow their
+        lexicographic order, but compare only within one call. Past the span,
+        a k-window is its two overlapping halves of h = span 2^j symbols,
+        h < k <= 2h, split again down to the span in d steps. While
+        len(starts) 2^d, the most windows those steps need, is below
+        `budget` (callers pass the windows they would otherwise compare),
+        each step ranks its halves among themselves; otherwise the keys come
+        from the ranked level of k, built once for the whole array and kept.
+        """
+        if k <= self.span:
+            return self._codes[starts] // self._size ** (self.span - k)
+        d = ((k - 1) // self.span).bit_length()
+        if starts.size << d >= budget:
+            return self._ranked_keys(k, starts)
+        half = self.span << d - 1
+        at = np.concatenate((starts, starts + k - half))
+        # dense ranks below at.size, so the pair packs below at.size^2 < 2^62
+        ranks = np.unique(self.keys_at(half, at, budget), return_inverse=True)[1]
+        return ranks[:starts.size] * at.size + ranks[starts.size:]
 
 
 def anchored_window_codes(rows, mask, size: int):

@@ -601,6 +601,15 @@ class TestCli:
           "observation": {"kind": "collapse", "interval": [0.2, 0.5], "value": 1.5},
           "expect_collapse": True},
          "torus coordinates must lie in [0, 1)"),
+        # a collapse interval off the torus would observe every point unchanged
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "observation": {"kind": "collapse", "interval": [1.2, 1.5], "value": 1.5},
+          "expect_collapse": True},
+         "collapse interval [1.2, 1.5] misses the torus [0, 1)"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "observation": {"kind": "collapse", "interval": [-0.5, -0.1], "value": 1.5},
+          "expect_collapse": True},
+         "collapse interval [-0.5, -0.1] misses the torus [0, 1)"),
     ])
     def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
         cfg = self._write_config(tmp_path, **override)

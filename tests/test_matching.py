@@ -7,6 +7,7 @@ from matchdim import (Alphabet, IIDSource, IdentityEncoder, StretchEncoder,
                       SymbolSeq, ZeroInflation, encode, highest_score, lcs_fast,
                       lcs_oracle, renyi2_scrabble, sample)
 from matchdim.matching import lcs_lengths_over_schedule, masked_window_lcs
+from matchdim.sources import WindowClasses
 
 
 def seq(symbols, size):
@@ -180,6 +181,67 @@ class TestWindowClassKernel:
                 if np.array_equal(x.data[i:i + k], y.data[j:j + k])]
         assert r.witness == (*min(wits), k)
         assert lcs_fast(x, y, want_witness=False) == type(r)(k, (0, 0, 0))
+
+
+class TestSurvivorProbes:
+    """The schedule kernel against the oracle where its probes change course."""
+
+    @staticmethod
+    def assert_schedule_exact(x, y, sched):
+        got = lcs_lengths_over_schedule(x, y, sched)
+        assert got == [lcs_oracle(x.prefix(n), y.prefix(n)).length for n in sched]
+        assert got == [lcs_fast(x.prefix(n), y.prefix(n)).length for n in sched]
+        return got
+
+    # the packed span is 62 binary symbols and 39 ternary ones (3^39 <= 2^62
+    # < 3^40); three symbols past 2^31 are ranked to three first
+    @pytest.mark.parametrize("size, span", [(2, 62), (3, 39), (2 ** 40, 39)])
+    @pytest.mark.parametrize("extra, times", [(-1, 1), (0, 1), (1, 1), (0, 2), (1, 2)])
+    def test_planted_match_around_the_span(self, size, span, extra, times):
+        length, n = times * span + extra, 300
+        rng = np.random.default_rng(length)
+        symbols = np.unique([0, size // 2, size - 1])
+        xd, yd = (symbols[rng.integers(0, symbols.size, n)] for _ in range(2))
+        i, j = (int(v) for v in rng.integers(1, n - length - 8, 2))
+        yd[j:j + length] = xd[i:i + length]
+        # the copy cannot extend: its neighbours differ on the two sides
+        yd[j - 1] = symbols[(np.searchsorted(symbols, xd[i - 1]) + 1) % symbols.size]
+        yd[j + length] = symbols[(np.searchsorted(symbols, xd[i + length]) + 1) % symbols.size]
+        x, y = SymbolSeq(Alphabet(size), xd), SymbolSeq(Alphabet(size), yd)
+        assert WindowClasses(np.concatenate((xd, yd))).span == span
+        end = max(i, j) + length  # the first n whose prefixes hold the whole copy
+        got = self.assert_schedule_exact(x, y, (10, end - length // 2, end, n))
+        assert got[-2:] == [length, length]
+        short = y.prefix(j + length + 8)
+        assert lcs_fast(x, short) == lcs_oracle(x, short)
+        assert lcs_fast(short, x) == lcs_oracle(short, x)
+
+    # every window of one side meets the other, so no probe drops a survivor
+    @pytest.mark.parametrize("kind", ["identical", "period-2", "period-7"])
+    def test_pairs_where_every_window_survives(self, kind):
+        n = 300
+        if kind == "identical":
+            xd = np.random.default_rng(7).integers(0, 2, n)
+            yd = xd.copy()
+        else:
+            period = int(kind[-1])
+            whole = np.resize([0, 1, 1, 0, 1, 0, 0][:period], n + period)
+            xd, yd = whole[:n], whole[3 % period:][:n]
+        x, y = SymbolSeq(Alphabet(2), xd), SymbolSeq(Alphabet(2), yd)
+        got = self.assert_schedule_exact(x, y, (1, 5, 62, 63, 124, 125, 200, n))
+        assert got[-1] >= n - 3
+        for a, b in ((x, y), (x, y.prefix(150)), (y.prefix(77), x)):
+            assert lcs_fast(a, b) == lcs_oracle(a, b)
+
+    def test_flat_schedule_finds_no_survivors(self):
+        # past 40 symbols x holds only 2 and y only 3, so no prefix gains a
+        # window the other side holds: each probe of best + 1 meets nothing
+        rng = np.random.default_rng(3)
+        xd, yd = rng.integers(0, 2, 200), rng.integers(0, 2, 200)
+        xd[40:], yd[40:] = 2, 3
+        x, y = SymbolSeq(Alphabet(4), xd), SymbolSeq(Alphabet(4), yd)
+        got = self.assert_schedule_exact(x, y, (20, 40, 41, 100, 200))
+        assert len(set(got[1:])) == 1
 
 
 class TestMaskedWindowLcs:

@@ -248,6 +248,24 @@ class TestWindowClasses:
             assert (keys[order][1:] == keys[order][:-1]).tolist() == [
                 a == b for a, b in zip(ordered[1:], ordered[:-1])]
 
+    # budget 0 takes every key from the ranked levels of the whole array, and
+    # 2^40 ranks the window halves among the starts of the call alone
+    @pytest.mark.parametrize("budget", [0, 2 ** 40])
+    @pytest.mark.parametrize("size, n", [(2, 300), (3, 200), (2 ** 40, 200)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_keys_at_compare_as_the_keys_of_their_starts(self, budget, size, n, seed):
+        rng = np.random.default_rng(seed)
+        symbols = np.unique([0, size // 2, size - 1])
+        picks = rng.integers(0, symbols.size, n)
+        if seed == 0:
+            picks = np.tile(picks[:7], n)[:n]  # period 7: many equal windows
+        classes = WindowClasses(symbols[picks])
+        for k in range(1, n + 1):
+            starts = rng.integers(0, n - k + 1, 30)
+            got, ref = classes.keys_at(k, starts, budget), classes.keys(k)[starts]
+            assert np.array_equal(np.argsort(got, kind="stable"), np.argsort(ref, kind="stable"))
+            assert np.array_equal(got[:, None] == got, ref[:, None] == ref)
+
     def test_slices_match_full_keys(self):
         data = np.random.default_rng(5).integers(0, 2, 200)
         classes = WindowClasses(data)
