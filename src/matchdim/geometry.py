@@ -9,9 +9,12 @@ yields chunks (d, i, j) holding every pair within r. It buckets pb into one
 `_Grid` with cells just wider than r and takes the pairs whose cells differ by
 at most one in each axis, cyclically on the torus. A split axis is never
 narrower than r, and an axis held in one cell, however narrow, puts every
-pair in neighbouring cells. Where the grid has at most three cells per axis,
-row blocks of the full matrix serve instead. Otherwise every torus axis, of
-span 1, has more than three cells, so no pair comes twice.
+pair in neighbouring cells. Cells c-1..c+1 of the last axis are one range of
+the grid's sorted order, so each offset of the leading axes is one range
+lookup; with pb None, pa joins itself by a half stencil, each unordered pair
+once. Where the grid has at most three cells per axis, row blocks of the full
+matrix serve instead. Otherwise every torus axis, of span 1, has more than
+three cells, so no pair comes twice.
 `_least_by_prefix` reduces the chunks to the least (d, i, j) with i, j < n
 for each n: in (d, i, j) order, the first pair with max(i, j) < n.
 
@@ -191,36 +194,66 @@ class _Grid:
     def exhaustive(self) -> bool:
         return bool((self.k_axes <= 3).all())
 
-    def pairs(self, query: np.ndarray):
+    def pairs(self, query: np.ndarray | None):
         """Chunks (i, j) of query and bucketed indices in neighbouring cells.
 
         Yields every pair whose cells differ by at most one in each axis,
         cyclically on the torus, exactly once on a grid that is not exhaustive.
-        A chunk holds whole queries' candidates: about _CHUNK_PAIRS pairs,
-        plus at most one query's.
+        Cells c-1..c+1 of the last axis are one range of the sorted flat order,
+        so each of the 3^(d-1) leading offsets costs two searches, plus, on the
+        torus, a one-cell range for the wrapped neighbour of an edge cell.
+        With query None the bucketed points join themselves by a half stencil,
+        each unordered pair of distinct points once: positive leading offsets
+        (lexicographically) take their full ranges, and the zero offset takes
+        the points after the query's own sorted position up to the end of cell
+        c+1, wrapping only from the last cell to cell 0.
         """
-        # visiting queries in cell order keeps the searchsorted keys nearly
-        # sorted, which makes their lookups cache-local
-        qcells = self._cells(query)
-        qorder = np.argsort(self._flatten(qcells))
-        qcells = qcells[qorder]
-        for off in itertools.product((-1, 0, 1), repeat=qcells.shape[1]):
-            nc = qcells + np.asarray(off, dtype=np.int64)
-            if self.torus:
-                nc %= self.k_axes
-            flat = self._flatten(nc)
-            lo = np.searchsorted(self.sorted_flat, flat, side="left")
-            counts = np.searchsorted(self.sorted_flat, flat, side="right") - lo
-            counts[((nc < 0) | (nc >= self.k_axes)).any(axis=1)] = 0
-            ends = np.cumsum(counts)
-            base = lo - (ends - counts)  # pair number t of query i is at t + base[i]
-            cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK_PAIRS),
-                                   side="right").tolist()
-            for q0, q1 in zip(cuts, cuts[1:] + [ends.size]):
-                if q1 > q0:
-                    i = np.repeat(np.arange(q0, q1), counts[q0:q1])
-                    t = np.arange(ends[q0] - counts[q0], ends[q1 - 1])
-                    yield qorder[i], self.order[t + base[i]]
+        # queries in cell order keep the searchsorted keys sorted, which
+        # makes their lookups cache-local
+        if query is None:
+            qorder, qflat = self.order, self.sorted_flat
+        else:
+            qflat = self._flatten(self._cells(query))
+            qorder = np.argsort(qflat)
+            qflat = qflat[qorder]
+        *lead, c = np.unravel_index(qflat, self.k_axes.tolist())  # the query's cells
+        del qflat  # only the cells stay alive while chunks are out
+        k_last = int(self.k_axes[-1])
+        wraps = [(c == k_last - 1, 0), (c == 0, k_last - 1)] if self.torus else []
+        for off in itertools.product((-1, 0, 1), repeat=len(lead)):
+            if query is None and off < (0,) * len(off):
+                continue  # the pair comes from the other point's positive offset
+            half = query is None and not any(off)
+            start, out = np.zeros_like(c), np.zeros(c.size, dtype=bool)
+            for cells, k, o in zip(lead, self.k_axes.tolist(), off):
+                cells = (cells + o) % k if self.torus else cells + o
+                out |= (cells < 0) | (cells >= k)
+                start = start * k + cells
+            start *= k_last
+            hi = np.searchsorted(self.sorted_flat, start + c + (c < k_last - 1), side="right")
+            lo = (np.arange(1, c.size + 1) if half
+                  else np.searchsorted(self.sorted_flat, start + c - (c > 0), side="left"))
+            np.copyto(hi, lo, where=out)
+            yield from self._ranges(qorder, lo, hi)
+            for at, cell in wraps[:1] if half else wraps:
+                key = start[at] + cell
+                yield from self._ranges(qorder[at], *(np.searchsorted(
+                    self.sorted_flat, key, side=side) for side in ("left", "right")))
+
+    def _ranges(self, qidx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """Chunks (qidx[q], order[t]) for t in [lo[q], hi[q]) for each q: about
+        _CHUNK_PAIRS pairs of whole queries, plus at most one query's. Uses up
+        lo and hi, whose storage holds the working arrays."""
+        counts = np.subtract(hi, lo, out=hi)
+        ends = np.cumsum(counts)
+        base = np.subtract(lo, ends - counts, out=lo)  # pair t of query q is at t + base[q]
+        total = int(ends[-1]) if ends.size else 0
+        cuts = np.searchsorted(ends, np.arange(0, total, _CHUNK_PAIRS), side="right").tolist()
+        for q0, q1 in zip(cuts, cuts[1:] + [ends.size]):
+            if q1 > q0:
+                q = np.repeat(np.arange(q0, q1), counts[q0:q1])
+                t = np.arange(ends[q0] - counts[q0], ends[q1 - 1])
+                yield qidx[q], self.order[t + base[q]]
 
 
 def _space_frame(space: str, *pointsets) -> tuple[np.ndarray, np.ndarray]:
@@ -261,23 +294,27 @@ def _common_point(pa: np.ndarray, pb: np.ndarray) -> tuple[int, int] | None:
     return int(index[lead_a[k]]), int(index[lead_b[k]])
 
 
-def _close_pairs(pa: np.ndarray, pb: np.ndarray, space: str, r: float):
-    """Chunks (d, i, j) holding every pair of pa x pb with d(pa[i], pb[j]) <= r.
+def _close_pairs(pa: np.ndarray, pb: np.ndarray | None, space: str, r: float):
+    """Chunks (d, i, j) holding every pair of pa x pb with d(pa[i], pb[j]) <= r;
+    with pb None, each pair i != j of pa x pa once, as (i, j) or (j, i).
 
     The pairs come from one grid with cells just wider than r, so a pair at
     exactly r lies in neighbouring cells, or, where that grid has at most
-    three cells per axis, from row blocks of the full matrix.
+    three cells per axis, from row blocks of the full matrix, cut to i < j
+    for a self-join.
     """
+    join, pb = pb is None, pa if pb is None else pb
     mins, spans = _space_frame(space, pa, pb)
     grid = _Grid(pb, float(np.nextafter(r, math.inf)) * (1.0 + 1e-12), space, mins, spans)
     if grid.exhaustive:
         rows = max(1, _BLOCK_ENTRIES // len(pb))
         for i0 in range(0, len(pa), rows):
             d = _block_dist(pa[i0:i0 + rows], pb, space)
-            i, j = np.nonzero(d <= r)
+            near = d <= r
+            i, j = np.nonzero(np.triu(near, i0 + 1) if join else near)
             yield d[i, j], i + i0, j
         return
-    for i, j in grid.pairs(pa):
+    for i, j in grid.pairs(None if join else pa):
         d = _fold_metric((pa[i, c] - pb[j, c] for c in range(pa.shape[1])), space)
         near = np.flatnonzero(d <= r)
         yield d[near], i[near], j[near]
@@ -348,10 +385,11 @@ def distance_profile(orbit_a: Orbit, orbit_b: Orbit, schedule) -> DistanceProfil
 
 
 def _pair_counts_below(pts: np.ndarray, radii: np.ndarray, space: str) -> np.ndarray:
-    """#{i<j : d(p_i, p_j) < r} for each r, among the pairs within max(radii)."""
+    """#{i<j : d(p_i, p_j) < r} for each r, among the pairs within max(radii),
+    which the half-stencil self-join of `_close_pairs` yields once each."""
     counts = np.zeros(radii.size, dtype=np.int64)
-    for d, i, j in _close_pairs(pts, pts, space, float(radii.max())):
-        counts += np.searchsorted(np.sort(d[i < j]), radii)  # left side: #{d < r}
+    for d, _, _ in _close_pairs(pts, None, space, float(radii.max())):
+        counts += np.searchsorted(np.sort(d), radii)  # left side: #{d < r}
     return counts
 
 

@@ -349,6 +349,11 @@ class TestCorrelationSum:
         assert fit.sums.tolist() == sorted(fit.sums.tolist())
         assert pts.flags.writeable  # validation must not freeze the input
 
+    @pytest.mark.parametrize("r, route", [(0.01, "grid"), (0.45, "block")])
+    def test_self_join_route(self, routes, r, route):
+        pair_count(uniform_orbit(4, 300).points, r)
+        assert routes["passes"] == [(300, r, route)]
+
     @pytest.mark.parametrize("space", ["torus", "cube"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("lattice", [True, False])
@@ -418,6 +423,84 @@ class TestCloseGridShape:
             assert math.prod(grid.k_axes.tolist()) <= 2 ** 62, (r, spans)
             if space == "torus":
                 assert grid.exhaustive or (grid.k_axes > 3).all(), (r, grid.k_axes)
+
+
+def _grid_points(space, dim, m, seed):
+    """Random points and points at either edge of each axis: on the torus
+    in its first and last cell, at the wrap apart by 0.001 or less. In the
+    cube the axes span about 1, 0.5 and 2 and start at -1."""
+    rng = np.random.default_rng(seed)
+    pts = np.vstack((rng.random((m - m // 4, dim)),
+                     rng.choice([0.0, 0.01, 0.98, 0.999], (m // 4, dim))))
+    return pts if space == "torus" else np.array([1.0, 0.5, 2.0][:dim]) * pts - 1.0
+
+
+def _stencil(grid, pa, pb):
+    """Whether the cells of pa[i] and pb[j] differ by at most one in every
+    axis, cyclically on the torus: the 3^d stencil, one pair at a time."""
+    diff = np.abs(grid._cells(pa)[:, None, :] - grid._cells(pb)[None, :, :])
+    if grid.torus:
+        diff = np.minimum(diff, grid.k_axes - diff)
+    return (diff <= 1).all(axis=2)
+
+
+def _pair_list(chunks):
+    """The (i, j) of every pair in chunks of index arrays, in one list."""
+    return [(int(i), int(j)) for ci, cj in chunks for i, j in zip(ci, cj)]
+
+
+class TestGridPairs:
+    """`_close_pairs` and `_Grid.pairs` on both metrics in 1-3 dimensions,
+    with 2 (exhaustive: the row blocks serve), 4 (the smallest torus grid
+    that is not) and 9 cells on the first axis, and chunks of 7 pairs. The
+    bipartite form yields every pair of the 3^d stencil once; the self-join
+    yields each unordered pair of distinct points in it once."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_CHUNK_PAIRS", 7)
+
+    @staticmethod
+    def grid_at(r, space, pb, *frame):
+        w = float(np.nextafter(r, np.inf)) * (1.0 + 1e-12)  # as `_close_pairs` builds it
+        return geometry._Grid(pb, w, space, *geometry._space_frame(space, pb, *frame))
+
+    @pytest.mark.parametrize("space", ["torus", "cube"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [2, 4, 9])
+    def test_bipartite(self, space, dim, cells):
+        pa, pb = _grid_points(space, dim, 160, 1), _grid_points(space, dim, 120, 2)
+        r = 1.0 / (cells + 0.2)
+        grid = self.grid_at(r, space, pb, pa)
+        assert (grid.k_axes == cells).all() if space == "torus" else grid.k_axes[0] == cells
+        if not grid.exhaustive:
+            got = _pair_list(grid.pairs(pa))
+            assert len(got) == len(set(got))
+            assert set(got) == set(zip(*np.nonzero(_stencil(grid, pa, pb))))
+        full = geometry._block_dist(pa, pb, space)
+        d, i, j = map(np.concatenate, zip(*geometry._close_pairs(pa, pb, space, r)))
+        assert len(set(zip(i.tolist(), j.tolist()))) == i.size
+        assert np.array_equal(np.sort(i * len(pb) + j), np.flatnonzero(full <= r))
+        assert (d == full[i, j]).all()
+
+    @pytest.mark.parametrize("space", ["torus", "cube"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [2, 4, 9])
+    def test_self_join(self, space, dim, cells):
+        pts = _grid_points(space, dim, 200, 3)
+        r = 1.0 / (cells + 0.2)
+        grid = self.grid_at(r, space, pts)
+        assert (grid.k_axes == cells).all() if space == "torus" else grid.k_axes[0] == cells
+        if not grid.exhaustive:
+            got = [(min(i, j), max(i, j)) for i, j in _pair_list(grid.pairs(None))]
+            assert len(got) == len(set(got)) and all(i < j for i, j in got)
+            assert set(got) == set(zip(*np.nonzero(np.triu(_stencil(grid, pts, pts), 1))))
+        full = geometry._block_dist(pts, pts, space)
+        d, i, j = map(np.concatenate, zip(*geometry._close_pairs(pts, None, space, r)))
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        assert (lo < hi).all()
+        assert np.array_equal(np.sort(lo * len(pts) + hi), np.flatnonzero(np.triu(full <= r, 1)))
+        assert (d == full[i, j]).all()
 
 
 class TestCorrelationDimension:

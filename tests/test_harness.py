@@ -383,9 +383,10 @@ def _csv_digest(name: str, **overrides):
 class TestOutputGuard:
     """Configs keep their exact output bytes through any kernel or engine change.
 
-    The `random_perturbed` and `lcs_markov` benchmark references, orbit
-    configs, `zero_inflation`, whose masked matcher no benchmark workload
-    runs, and the scrabble and entropy routes through `run`.
+    The `random_perturbed` and `lcs_markov` benchmark references, the
+    dimension estimate of the full `random_perturbed` plan, orbit configs,
+    `zero_inflation`, whose masked matcher no benchmark workload runs, and
+    the scrabble and entropy routes through `run`.
     """
 
     def test_random_perturbed_matches_benchmark_reference(self):
@@ -393,6 +394,11 @@ class TestOutputGuard:
         digest, passed = _csv_digest("random_perturbed", seed=ref["seed"],
                                      trials=ref["trials"])
         assert (digest, passed) == (ref["csv_sha256"], ref["passed"])
+
+    def test_random_perturbed_dimension_estimate(self):
+        with open(CONFIG_DIR / "random_perturbed.yaml") as fh:
+            plan = plan_from_config(yaml.safe_load(fh))
+        assert harness.estimate_orbit_dimension(plan).slope == 1.002018055522419
 
     def test_lcs_markov_matches_benchmark_reference(self):
         ref = json.loads(REFERENCES.read_text())["lcs_markov"]
