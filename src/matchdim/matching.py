@@ -6,14 +6,14 @@ path built on exact window keys of the concatenated pair
 (`sources.WindowClasses`: packed base-size codes for windows up to 62 bits,
 prefix-doubling ranks past them). A k-window match exists when the sorted,
 side-tagged keys of the two sequences meet (`_keys_meet`). One kernel
-(`_longest_common`) serves `lcs_fast`, on sequences of any two lengths, and
-`lcs_lengths_over_schedule`, on matched prefixes: for each length it sorts
-the packed keys of every window once, keeps the starts of the windows whose
-class the other side holds (the survivors), and finds the longest k by an
-exponential probe then a bisection over the survivors alone, since a longer
-match starts where a shorter one does. Masked matching scans k up over
-`sources.anchored_window_codes` with the same meet test. The fast path is
-the production route, cross-checked by the independent oracle.
+(`_longest_common`) serves `lcs_fast`, on sequences of any two lengths,
+`lcs_lengths_over_schedule`, on matched prefixes, and `masked_window_lcs`,
+on the mask-anchored keys of `sources.MaskedWindows`: for each length it
+sorts the packed keys of every window once, keeps the starts of the windows
+whose class the other side holds (the survivors), and finds the longest k
+by an exponential probe then a bisection over the survivors alone, since a
+longer match starts where a shorter one does. The fast path is the
+production route, cross-checked by the independent oracle.
 
 `highest_score` generalizes match length to weighted match score: every
 symbol carries a positive integer weight and a common substring scores the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import SymbolSeq, WindowClasses, anchored_window_codes, symbol_weights
+from .sources import MaskedWindows, SymbolSeq, WindowClasses, symbol_weights
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,12 @@ def lcs_oracle(x: SymbolSeq, y: SymbolSeq) -> MatchResult:
     return _best_run(x.data, y.data, [1] * x.length)
 
 
-def _check_schedule(schedule, limit: int) -> list[int]:
+def _check_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]:
+    _check_pair(x, y)
     ns = [int(n) for n in schedule]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("schedule must be strictly increasing")
-    if ns[0] < 1 or ns[-1] > limit:
+    if ns[0] < 1 or ns[-1] > min(x.length, y.length):
         raise ValueError("schedule out of range for the given sequences")
     return ns
 
@@ -121,7 +122,7 @@ def _survivors(keys: np.ndarray, common: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_held(keys, common))
 
 
-def _longest_common(classes: WindowClasses, nx: int, sizes
+def _longest_common(classes: WindowClasses | MaskedWindows, nx: int, sizes
                     ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Longest common substring of x[:mx] and y[:my] for each (mx, my) in sizes.
 
@@ -183,19 +184,18 @@ def _longest_common(classes: WindowClasses, nx: int, sizes
     return out, sx, sy
 
 
-def lcs_fast(x: SymbolSeq, y: SymbolSeq, want_witness: bool = True) -> MatchResult:
+def lcs_fast(x: SymbolSeq, y: SymbolSeq) -> MatchResult:
     """Longest common substring by exact window classes of x ++ y.
 
     Matches lcs_oracle in length and witness on every input: the witness is
     the least i among the x-windows of a class that y also holds, then the
-    least j among the y-windows of that class. The witness pass is skipped
-    when want_witness is False (bulk statistics only need the length).
+    least j among the y-windows of that class.
     """
     _check_pair(x, y)
     nx, ny = x.length, y.length
     classes = WindowClasses(np.concatenate((x.data, y.data)))
     (best,), sx, sy = _longest_common(classes, nx, [(nx, ny)])
-    if best == 0 or not want_witness:
+    if best == 0:
         return MatchResult(best, (0, 0, 0))
     fx, fy = sx[sx <= nx - best], sy[sy <= nx + ny - best]
     keys = classes.keys_at(best, np.concatenate((fx, fy)), nx + ny)
@@ -212,11 +212,9 @@ def lcs_lengths_over_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]
     serves every n; each n sorts the packed keys of its prefixes once, and
     later probes test only the windows that can still match.
     """
-    _check_pair(x, y)
-    ns = _check_schedule(schedule, min(x.length, y.length))
-    top = ns[-1]
-    classes = WindowClasses(np.concatenate((x.data[:top], y.data[:top])))
-    return _longest_common(classes, top, [(n, n) for n in ns])[0]
+    ns = _check_schedule(x, y, schedule)
+    classes = WindowClasses(np.concatenate((x.data[:ns[-1]], y.data[:ns[-1]])))
+    return _longest_common(classes, ns[-1], [(n, n) for n in ns])[0]
 
 
 def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask, schedule) -> list[int]:
@@ -232,22 +230,14 @@ def masked_window_lcs(x: SymbolSeq, y: SymbolSeq, mask, schedule) -> list[int]:
     instead and decays at a different rate.
 
     Returns the optimal length for each n in `schedule`, any alphabet, mask
-    0/1: one scan over the codes of `anchored_window_codes` raises k while
-    the length-n prefixes match.
+    0/1, by the kernel of `lcs_lengths_over_schedule` on `sources.MaskedWindows`:
+    the mask is indexed by window offset, so a (k+1)-match starts at a k-match.
     """
-    _check_pair(x, y)
-    ns = _check_schedule(schedule, min(x.length, y.length))
+    ns = _check_schedule(x, y, schedule)
     if len(mask) < ns[-1]:
         raise ValueError("mask must cover the largest scheduled n")
-    codes = anchored_window_codes((x.data[:ns[-1]], y.data[:ns[-1]]), mask, x.alphabet.size)
-    (cx, cy), k, out = next(codes), 1, []
-    for n in ns:
-        # the length-n prefixes hold n - k + 1 k-windows; k - 1 already matches
-        while k <= n and _keys_meet(cx[:n - k + 1], cy[:n - k + 1]).size:
-            k += 1
-            cx, cy = next(codes, (cx, cy))  # runs out only once k passes ns[-1]
-        out.append(k - 1)
-    return out
+    windows = MaskedWindows(np.concatenate((x.data[:ns[-1]], y.data[:ns[-1]])), mask[:ns[-1]])
+    return _longest_common(windows, ns[-1], [(n, n) for n in ns])[0]
 
 
 def highest_score(x: SymbolSeq, y: SymbolSeq, n: int, weights) -> MatchResult:

@@ -15,8 +15,7 @@ This module provides:
 - Exact window keys of any length (`WindowClasses`), shared by window counts
   and the substring matcher: packed codes up to 62 bits, prefix-doubling
   ranks past them, for a range of starts or for chosen ones.
-- Exact mask-anchored window codes for k = 1, 2, ... (`anchored_window_codes`),
-  the scan of the masked matcher.
+- Exact keys of mask-anchored windows for the same matcher (`MaskedWindows`).
 - Stationary distributions of finite chains via power iteration.
 """
 
@@ -375,29 +374,45 @@ class WindowClasses:
         return ranks[:starts.size] * at.size + ranks[starts.size:]
 
 
-def anchored_window_codes(rows, mask, size: int):
-    """Exact codes of the mask-anchored windows of equal-length rows, k = 1, 2, ...
+class MaskedWindows:
+    """Exact keys of the mask-anchored windows of one symbol array.
 
-    rows is a 2-d array of symbols in [0, size), mask the 0/1 mask shared by
-    every row. Entry (r, i) of the k-th yield codes the k-window of row r at
-    i, its position t holding mask[t] * symbol (a spaced seed). Codes are
-    equal exactly when the masked windows are, across rows, and follow their
-    lexicographic order; one Horner step per k, re-ranked jointly before 2^62.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if size >= 2 ** 31:  # rank the symbols, 0 among them: a masked position is 0
-        ranks = np.unique(np.append(0, rows), return_inverse=True)[1]
-        rows, size = ranks[1:].reshape(rows.shape), int(ranks.max()) + 1
-    codes, bound = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.int64), 1
-    for k in range(1, rows.shape[1] + 1):
-        if bound * size > 2 ** 62:  # every code is below bound
-            ranks = np.unique(codes, return_inverse=True)[1]
-            codes, bound = ranks.reshape(codes.shape), int(ranks.max()) + 1
-        codes = codes[:, :-1] * size
-        if mask[k - 1]:
-            codes += rows[:, k - 1:]
-        bound *= size
-        yield codes
+    The masked k-window at i holds mask[t] * symbols[i + t] at position t,
+    k <= len(mask) <= len(symbols). Two such windows differ only where the
+    mask is 1, so symbols past 2^31 may be ranked first. Chunk a of the
+    window is the code of the zero-padded span-window at i + a, packed b bits
+    a symbol (span <= 62 // b), ANDed with mask[a:a + span] packed alike, its
+    1s as b one-bits. `keys` (up to the span) and `keys_at` are as in
+    `WindowClasses`."""
+
+    def __init__(self, symbols, mask):
+        ids = np.asarray(symbols, dtype=np.int64)
+        if ids.max() >= 2 ** 31:
+            ids = np.unique(ids, return_inverse=True)[1]
+        self._bits = b = int(ids.max()).bit_length()
+        on = np.where(np.asarray(mask) != 0, (1 << b) - 1, 0)
+        self.span = span = min(on.size, 62 // b) if b else on.size
+        self._codes, self._patterns = (_padded_window_codes(v, 1 << b, span)[0] for v in (ids, on))
+
+    def keys(self, k: int, start: int, stop: int) -> np.ndarray:
+        return self.keys_at(k, np.arange(start, stop), 0)
+
+    def keys_at(self, k: int, starts: np.ndarray, budget: int) -> np.ndarray:
+        """Keys of the masked k-windows at starts; `budget` is unused.
+
+        Chunks a = 0, span, 2 span, ..., cut to the k - a symbols left, each
+        ranked in turn with the key before it among the starts (below
+        len(starts)^2 < 2^62). A chunk the mask hides is 0 and is skipped."""
+        def chunk(a: int) -> np.ndarray:
+            cut = self._bits * max(self.span + a - k, 0)
+            return (self._codes[starts + a] & self._patterns[a]) >> cut
+
+        keys = chunk(0)
+        for a in range(self.span, k, self.span):
+            if self._patterns[a]:
+                keys = (np.unique(keys, return_inverse=True)[1] * starts.size
+                        + np.unique(chunk(a), return_inverse=True)[1])
+        return keys
 
 
 def window_counts(seq: SymbolSeq, k: int) -> np.ndarray:

@@ -422,6 +422,11 @@ class TestOutputGuard:
         assert _csv_digest("zero_inflation", trials=3) == (
             "e1ccdf64dfebc6b773f39ba025960504ad1ad4c668604311c04a25d80aa4b73a", True)
 
+    # trial 5 is the one whose match passes the 62-symbol span (66 at n = 2^16)
+    def test_full_zero_inflation_run_is_pinned(self):
+        assert _csv_digest("zero_inflation") == (
+            "1541c1a0d6a589b64dfc52347aa4e1af5e9e07caa2b322063d03a778719f5d5c", True)
+
     @pytest.mark.parametrize("name, overrides, digest, passed", [
         ("scrabble", {"trials": 3},
          "2cb6494a19ec8750ce535fe902e45fe3c3b4f3b8d9466afbb1656f2b5d350be4", True),

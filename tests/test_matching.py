@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from matchdim import (Alphabet, IIDSource, IdentityEncoder, StretchEncoder,
                       SymbolSeq, ZeroInflation, encode, highest_score, lcs_fast,
                       lcs_oracle, renyi2_scrabble, sample)
 from matchdim.matching import lcs_lengths_over_schedule, masked_window_lcs
-from matchdim.sources import WindowClasses
+from matchdim.sources import MaskedWindows, WindowClasses
+from oracles import masked_match_lengths
 
 
 def seq(symbols, size):
@@ -180,7 +183,6 @@ class TestWindowClassKernel:
         wits = [(i, j) for i in range(nx - k + 1) for j in range(ny - k + 1)
                 if np.array_equal(x.data[i:i + k], y.data[j:j + k])]
         assert r.witness == (*min(wits), k)
-        assert lcs_fast(x, y, want_witness=False) == type(r)(k, (0, 0, 0))
 
 
 class TestSurvivorProbes:
@@ -264,7 +266,7 @@ class TestMaskedWindowLcs:
             self.brute_force(x, y, mask, n) for n in sched]
 
     # symbol 0 occurs in odd seeds only; past 2^31 the symbols are ranked,
-    # and a masked position must still equal symbol 0 and no other symbol
+    # and a masked position must match whatever symbols the two windows hold
     @pytest.mark.parametrize("size", [300, 2 ** 40])
     @pytest.mark.parametrize("seed", range(8))
     def test_large_alphabets_match_brute_force(self, size, seed):
@@ -297,6 +299,54 @@ class TestMaskedWindowLcs:
         got = masked_window_lcs(x, y, mask, sched)
         assert got == [self.brute_force(x, y, mask, m) for m in sched]
         assert got[1] >= 63 and got[2] >= 119
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairwise_oracle_matches_brute_force(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        x, y = low_entropy_pair(seed, 3, 40, 40)
+        mask = (rng.random(40) < 0.6).astype(np.int64)
+        sched = (1, 7, 23, 40)
+        assert masked_match_lengths(x, y, mask, sched, rows=7) == [
+            self.brute_force(x, y, mask, n) for n in sched]
+
+    # a chunk holds 62 binary symbols or 6 of a 300-symbol alphabet, so a
+    # planted match of 63-200 symbols joins 2-4 chunks, or 11-34, in random
+    # pairs where few windows survive the first probe
+    @pytest.mark.parametrize("size, span", [(2, 62), (300, 6)])
+    @pytest.mark.parametrize("length, n", [(63, 1000), (124, 1500), (125, 2000), (200, 2000)])
+    def test_planted_matches_past_the_span(self, size, span, length, n):
+        rng = np.random.default_rng(length * n + size)
+        xd, yd = rng.integers(0, size, n), rng.integers(0, size, n)
+        mask = (rng.random(n) < 0.7).astype(np.int64)
+        i, j = (int(v) for v in rng.integers(1, n - length, 2))
+        # a copy of x's window, but for fresh symbols where the mask hides them
+        yd[j:j + length] = np.where(mask[:length], xd[i:i + length],
+                                    rng.integers(0, size, length))
+        x, y = SymbolSeq(Alphabet(size), xd), SymbolSeq(Alphabet(size), yd)
+        assert MaskedWindows(np.concatenate((xd, yd)), mask).span == span
+        end = max(i, j) + length  # the first n whose prefixes hold the whole copy
+        sched = sorted({50, end - length // 2, end, n})
+        got = masked_window_lcs(x, y, mask, sched)
+        assert got == masked_match_lengths(x, y, mask, sched)
+        assert got[-1] >= length
+
+    # all-zero symbols pack in 0 bits, so the span is n; a zero mask hides
+    # every chunk past the span. Every window matches in both.
+    @pytest.mark.parametrize("zero", ["symbols", "mask"])
+    def test_degenerate_inputs_match_whole_prefixes_fast(self, zero):
+        n = 2 ** 14
+        rng = np.random.default_rng(11)
+        xd, yd = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        mask = (rng.random(n) < 0.7).astype(np.int64)
+        if zero == "symbols":
+            xd[:], yd[:] = 0, 0
+        else:
+            mask[:] = 0
+        x, y = SymbolSeq(Alphabet(2), xd), SymbolSeq(Alphabet(2), yd)
+        sched = tuple(2 ** p for p in range(15))
+        t0 = time.perf_counter()
+        assert masked_window_lcs(x, y, mask, sched) == list(sched)
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_all_ones_mask_is_plain_lcs(self, seed):
