@@ -15,7 +15,8 @@ Closed forms covered:
 Empirical estimates plug observed block frequencies into -log(collision)/k
 and select a plateau block length k automatically; the plateau sorts the
 codes of its longest windows (`sources._padded_window_codes`) once and
-counts every shorter k from their prefixes.
+counts every shorter k from their prefixes, told apart by one XOR of
+adjacent sorted codes over 2^b symbols, by division at each k otherwise.
 
 All entropies are in nats.
 """
@@ -243,8 +244,10 @@ def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
     One sort serves every k: the exact codes of the zero-padded K-windows
     (K the largest k tried) are sorted once, and the k-windows are their
     k-prefixes, counted between the places where adjacent prefixes differ,
-    less the k - 1 windows that run into the padding. Every row equals
-    `renyi2_empirical(seq, k)`.
+    less the k - 1 windows that run into the padding. Where the code base is
+    2^b, adjacent prefixes differ where the XOR of the adjacent codes reaches
+    2^(b (K - k)); otherwise the codes are divided by base^(K - k) at each k.
+    Every row equals `renyi2_empirical(seq, k)`.
     """
     _check_block_len(seq, 2)
     n, size = seq.length, seq.alphabet.size
@@ -255,16 +258,25 @@ def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
     codes.sort()
     padded = np.searchsorted(codes, padded)  # their places in sorted order
     new_group = np.ones(n + 1, dtype=bool)  # new_group[n] closes the last group
+    packed = (base & (base - 1)) == 0  # base 2^b: u >> s != v >> s exactly when u ^ v >= 2^s
+    if packed:
+        flips = np.bitwise_xor(codes[1:], codes[:-1], out=spare[:n - 1])
+        spare = codes  # the codes are not read again: their buffer holds the counts
     windows = n  # within a factor of the window count for k << n
     table: list[EntropyEstimate] = []
     for k in range(2, K + 1):
-        prefixes = np.floor_divide(codes, base ** (K - k), out=spare)
-        np.not_equal(prefixes[1:], prefixes[:-1], out=new_group[1:n])
+        if packed:
+            np.greater_equal(flips, base ** (K - k), out=new_group[1:n])
+        else:
+            prefixes = np.floor_divide(codes, base ** (K - k), out=spare)
+            np.not_equal(prefixes[1:], prefixes[:-1], out=new_group[1:n])
         starts = np.flatnonzero(new_group)
         counts = np.subtract(starts[1:], starts[:-1], out=spare[:starts.size - 1])
-        np.subtract.at(counts, np.searchsorted(starts, padded[K - k:], side="right") - 1, 1)
+        at = np.searchsorted(starts, padded[K - k:], side="right") - 1
+        np.subtract.at(counts, at, 1)
         del starts  # freed before the copies below: they set the peak memory
-        est = _plug_in(counts if counts.all() else counts[counts > 0], k)
+        # only the groups of padded windows lose counts, so only they can reach 0
+        est = _plug_in(counts if counts[at].all() else counts[counts > 0], k)
         table.append(est)
         if est.collision * windows < min_coincidences:
             break

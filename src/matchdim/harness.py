@@ -360,8 +360,7 @@ def theoretical_slope_limit(plan: ExperimentPlan) -> float | None:
     return 2.0 / dim
 
 
-def _lcs_trial(plan: ExperimentPlan, trial: int) -> list[int]:
-    src = _build_source(plan.source)
+def _lcs_trial(plan: ExperimentPlan, src, trial: int) -> list[int]:
     n_max = plan.schedule[-1]
     x = sources.sample(src, n_max, spawn_seed(plan.master_seed, trial, _ROLE_X))
     y = sources.sample(src, n_max, spawn_seed(plan.master_seed, trial, _ROLE_Y))
@@ -394,9 +393,8 @@ def _orbit_trial(plan: ExperimentPlan, trial: int) -> np.ndarray:
     return geometry.distance_profile(a, b, plan.schedule).m_values
 
 
-def _entropy_trial(plan: ExperimentPlan, trial: int
+def _entropy_trial(plan: ExperimentPlan, src, trial: int
                    ) -> tuple[entropy.EntropyEstimate, list[entropy.EntropyEstimate]]:
-    src = _build_source(plan.source)
     seq = sources.sample(src, plan.sample_length,
                          spawn_seed(plan.master_seed, trial, _ROLE_X))
     enc = _encoder_for_trial(plan, trial)
@@ -438,13 +436,18 @@ def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
         details["estimated_dimension"] = dim_fit.slope
         target = 2.0 / dim_fit.slope
     orbit = plan.kind.endswith("orbit_law")
-    trial_fn = (_entropy_trial if plan.kind == "entropy_check"
-                else _orbit_trial if orbit else _lcs_trial)
-    per_trial = _run_trials(plan, lambda t: trial_fn(plan, t), threads)
+    if orbit:
+        per_trial = _run_trials(plan, lambda t: _orbit_trial(plan, t), threads)
+    else:  # the source is built once: a stationary chain solves for its law
+        src = _build_source(plan.source)
+        trial_fn = _entropy_trial if plan.kind == "entropy_check" else _lcs_trial
+        per_trial = _run_trials(plan, lambda t: trial_fn(plan, src, t), threads)
     if plan.kind == "entropy_check":
         rows = [(trial, est.k, est.value)
                 for trial, (_, table) in enumerate(per_trial) for est in table]
         plateaus = details["plateau_estimates"] = [plateau.value for plateau, _ in per_trial]
+        details["plateau_k"] = [plateau.k for plateau, _ in per_trial]
+        details["plateau_rows"] = [len(table) for _, table in per_trial]
         fit, collapsed = None, np.zeros(0, dtype=bool)
         passed = all(_gate(plan, p, target) for p in plateaus)
     else:

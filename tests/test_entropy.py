@@ -208,11 +208,15 @@ class TestEmpirical:
     @pytest.mark.filterwarnings("ignore:sequence length:RuntimeWarning")
     @pytest.mark.parametrize("case", ["iid2", "markov2", "markov3", "iid10",
                                       "dirac", "const1", "const2", "huge",
-                                      "const3", "zero_tail", "forced_k3"])
+                                      "const3", "zero_tail", "forced_k3", "markov4",
+                                      "iid256", "zero_tail16"])
     @pytest.mark.parametrize("n", [5, 12, 40, 200, 1000, 20_000])
     def test_plateau_rows_equal_the_from_scratch_oracle(self, case, n):
         P = np.array([[0.9, 0.1], [0.3, 0.7]])
         P3 = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])
+        P4 = np.full((4, 4), 0.05) + np.eye(4) * 0.8  # sticky: long runs of one symbol
+        rng = np.random.default_rng(13)
+        tail = np.r_[rng.integers(1, 16, 12), [0] * 8]
         seq = {"iid2": lambda: sample(IIDSource(np.array([0.5, 0.5])), n, 3),
                "markov2": lambda: sample(MarkovSource.stationary(P), n, 4),
                "markov3": lambda: sample(MarkovSource.stationary(P3), n, 5),
@@ -230,7 +234,16 @@ class TestEmpirical:
                    np.random.default_rng(9).integers(0, 2, max(n - 70, 0)), [0] * min(n, 70)]),
                # hard_cap = int(62 / 25) = 2, so k = 3 is forced past 2^62 codes
                "forced_k3": lambda: SymbolSeq(Alphabet(2 ** 25), np.random.default_rng(10).choice(
-                   [0, 2 ** 24 + 3, 2 ** 25 - 1], n))}[case]()
+                   [0, 2 ** 24 + 3, 2 ** 25 - 1], n)),
+               # codes packed 2 and 8 bits a symbol: prefixes part by the XOR of neighbours
+               "markov4": lambda: sample(MarkovSource.stationary(P4), n, 11),
+               "iid256": lambda: sample(IIDSource(np.full(256, 1 / 256)), n, 12),
+               # ends in 12 symbols and 6 zeros, seen before with 8 zeros: past k = 8 the
+               # padded window after the 12 symbols joins a real one, while the all-zero
+               # padded windows form a group of their own, whose count drops to 0 (the
+               # run of ones ahead keeps the collisions up, so k gets past 8)
+               "zero_tail16": lambda: SymbolSeq(Alphabet(16), np.r_[
+                   [1] * n, tail, tail[:-2]][-n:])}[case]()
         plateau, table = empirical_plateau(seq)
         assert [est.k for est in table] == list(range(2, len(table) + 2))
         assert plateau in table

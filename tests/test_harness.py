@@ -331,6 +331,35 @@ class TestRun:
         assert result.details["plateau_estimates"]
         assert result.passed
 
+    def test_entropy_details_record_each_trials_plateau_k_and_table_length(self):
+        plan = ExperimentPlan(kind="entropy_check", schedule=(1,), trials=3,
+                              master_seed=4, sample_length=5_000,
+                              source={"kind": "markov",
+                                      "transition": [[0.9, 0.1], [0.3, 0.7]]},
+                              encoder={"kind": "identity"}, tolerance_frac=0.5)
+        result = run(plan)
+        ks, lengths = result.details["plateau_k"], result.details["plateau_rows"]
+        assert len(ks) == len(lengths) == plan.trials
+        for trial, (k, length, value) in enumerate(
+                zip(ks, lengths, result.details["plateau_estimates"])):
+            rows = [(n, stat) for t, n, stat in result.rows if t == trial]
+            assert [n for n, _ in rows] == list(range(2, length + 2))
+            assert (k, value) in rows
+        assert len(set(lengths)) > 1  # the table length varies with the sample
+
+    @pytest.mark.parametrize("kind", ["lcs_law", "entropy_check"])
+    def test_the_source_is_built_as_often_for_one_trial_as_for_five(self, kind, monkeypatch):
+        calls, build = [], harness._build_source
+        monkeypatch.setattr(harness, "_build_source",
+                            lambda spec: calls.append(spec) or build(spec))
+        extra = {"schedule": (1,), "sample_length": 500} if kind == "entropy_check" else {}
+        counts = []
+        for trials in (1, 5):
+            calls.clear()
+            run(small_plan(kind=kind, trials=trials, **extra))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_entropy_gate_reads_tolerance_abs(self):
         with open(CONFIG_DIR / "entropy_markov.yaml") as fh:
             cfg = yaml.safe_load(fh)
