@@ -27,7 +27,7 @@ from .geometry import (DimensionFit, DistanceProfile, NearestPair, SlopeFit,
                        distance_profile, fit_slope, shortest_distance,
                        shortest_distance_fast)
 from .harness import (ExperimentPlan, ExperimentResult, plan_from_config, run,
-                      selftest, theoretical_slope_limit)
+                      theoretical_slope_limit)
 
 __version__ = "0.1.0"
 

@@ -1,13 +1,13 @@
 """Command line front end.
 
 Subcommands map one-to-one onto experiment kinds (`lcs-law`, `scrabble-law`,
-`orbit-law`, `random-orbit-law`, `entropy`) plus `selftest`. Each experiment
-reads a YAML config, writes the per-trial CSV to --out (or stdout) and a
-one-line summary to stderr; the exit status is 0 exactly when every
-configured tolerance gate passed, 1 when a gate failed, and 2 for a bad
-flag such as `--threads 0` or a config error (not a mapping, a kind that
-does not match the subcommand, a bad, missing or unknown key, or specs that
-do not fit together), which is reported as one line on stderr.
+`orbit-law`, `random-orbit-law`, `entropy`). Each reads a YAML config, writes
+the per-trial CSV to --out (or stdout) and a one-line summary to stderr; the
+exit status is 0 exactly when every configured tolerance gate passed, 1 when
+a gate failed, and 2 for a bad flag such as `--threads 0` or a config error
+(a file that cannot be read or parsed, not a mapping, a kind that does not
+match the subcommand, a bad, missing or unknown key, or specs that do not fit
+together), which is reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -41,23 +41,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="CSV output path (default stdout)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads over trials (output is unaffected)")
-    sub.add_parser("selftest", help="run the oracle-equivalence release gate")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "selftest":
-        report = harness.selftest()
-        for line in report.lines():
-            print(line)
-        return 0 if report.ok else 1
     if args.threads < 1:
         parser.error(f"--threads must be at least 1, got {args.threads}")
 
-    with open(args.config) as fh:
-        cfg = yaml.safe_load(fh)
+    try:
+        with open(args.config) as fh:
+            cfg = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as e:  # a parser message spans several lines
+        print(f"config error: {' '.join(str(e).split())}", file=sys.stderr)
+        return 2
     if not isinstance(cfg, dict):
         print(f"config {args.config!r} must be a YAML mapping, got "
               f"{type(cfg).__name__}", file=sys.stderr)

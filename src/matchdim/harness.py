@@ -28,7 +28,6 @@ trial order, making CSV output byte-identical across thread counts.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -471,223 +470,3 @@ def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
                             passed=bool(passed), collapse_detected=bool(collapsed.any()),
                             details=details)
 
-
-@dataclass
-class SelfTestReport:
-    checks: list[tuple[str, bool, str]]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
-    def lines(self) -> list[str]:
-        return [f"{'PASS' if p else 'FAIL'}  {name}{(': ' + d) if d else ''}"
-                for name, p, d in self.checks]
-
-
-def selftest(seed: int = 20_240_601) -> SelfTestReport:
-    """Oracle-equivalence and closed-form invariant suite; release gate."""
-    rng = np.random.default_rng(seed)
-    checks: list[tuple[str, bool, str]] = []
-
-    mismatches = 0
-    for _ in range(300):
-        size = int(rng.integers(2, 9))
-        lx, ly = (int(v) for v in rng.integers(1, 121, size=2))
-        x = sources.SymbolSeq(sources.Alphabet(size), rng.integers(0, size, lx))
-        y = sources.SymbolSeq(sources.Alphabet(size), rng.integers(0, size, ly))
-        if matching.lcs_fast(x, y).length != matching.lcs_oracle(x, y).length:
-            mismatches += 1
-    checks.append(("lcs fast/reference equivalence (300 pairs)",
-                   mismatches == 0, f"{mismatches} mismatches"))
-
-    # near copies, identical and periodic pairs: matches pass the packed span
-    # (62 binary symbols) and twice it, and in the last two every window meets
-    mismatches = longest = 0
-    for t in range(40):
-        size, n = int(rng.integers(2, 5)), int(rng.integers(150, 401))
-        xd = rng.integers(0, size, n)
-        yd = xd.copy()
-        if t % 2 == 0:
-            at = rng.integers(0, n, int(rng.integers(1, 4)))
-            yd[at] = (yd[at] + rng.integers(1, size, at.size)) % size
-        elif t % 4 == 3:  # two shifts of one string of period 2 to 7
-            period = int(rng.integers(2, 8))
-            whole = np.resize(xd[:period], n + period)
-            xd, yd = whole[:n], whole[int(rng.integers(0, period)):][:n]
-        x, y = (sources.SymbolSeq(sources.Alphabet(size), d) for d in (xd, yd))
-        ref = matching.lcs_oracle(x, y)
-        longest = max(longest, ref.length)
-        schedule = np.unique(np.r_[rng.integers(1, n + 1, size=4), n]).tolist()
-        mismatches += matching.lcs_fast(x, y) != ref
-        mismatches += matching.lcs_lengths_over_schedule(x, y, schedule) != [
-            matching.lcs_oracle(x.prefix(m), y.prefix(m)).length for m in schedule]
-    checks.append(("long-match lcs fast/schedule/reference equivalence "
-                   "(20 near copies, 10 identical and 10 periodic pairs)",
-                   mismatches == 0, f"{mismatches} mismatches, longest match {longest}"))
-
-    bad_distance = bad_witness = 0
-    for _ in range(150):
-        n = int(rng.integers(2, 513))
-        dim = int(rng.integers(1, 3))
-        a = dynamics.Orbit(rng.random((n, dim)))
-        b = dynamics.Orbit(rng.random((n, dim)))
-        ref = geometry.shortest_distance(a, b, n)
-        fast = geometry.shortest_distance_fast(a, b, n)
-        bad_distance += ref.distance != fast.distance
-        bad_witness += ref.witness != fast.witness
-    checks.append(("nearest-pair fast/reference equivalence (150 instances)",
-                   bad_distance == 0 and bad_witness == 0,
-                   f"{bad_distance} distance and {bad_witness} witness mismatches"))
-
-    bad_distance = bad_witness = 0
-    for t in range(40):
-        n = int(rng.integers(16, 513))
-        dim = int(rng.integers(1, 3))
-        space = (dynamics.TORUS, dynamics.CUBE)[int(rng.integers(2))]
-        scale = 1.0 if space == dynamics.TORUS else float(rng.uniform(0.5, 4.0))
-        if t >= 30:  # cube orbits whose second coordinate spans 0 or 1e-9
-            dim, space, scale = 2, dynamics.CUBE, np.array([scale, 1e-9 * (t % 2)])
-        a = dynamics.Orbit(scale * rng.random((n, dim)), space)
-        b = dynamics.Orbit(scale * rng.random((n, dim)), space)
-        schedule = np.unique(np.r_[rng.integers(8, n + 1, size=4), n])
-        prof = geometry.distance_profile(a, b, schedule)
-        for k, m, witness in zip(schedule, prof.m_values, prof.witnesses):
-            ref = geometry.shortest_distance(a, b, int(k))
-            bad_distance += ref.distance != m
-            bad_witness += ref.witness != witness
-    checks.append(("distance-profile / per-n reference equivalence "
-                   "(40 instances, 10 with a flat cube axis)",
-                   bad_distance == 0 and bad_witness == 0,
-                   f"{bad_distance} distance and {bad_witness} witness mismatches"))
-
-    worst = 0.0
-    for _ in range(20):
-        q = rng.random(int(rng.integers(2, 6)))
-        q /= q.sum()
-        P = np.tile(q, (q.size, 1))
-        worst = max(worst, abs(entropy.renyi2_markov(P) - entropy.renyi2_iid(q)))
-    checks.append(("rank-1 chain entropy equals i.i.d. entropy",
-                   worst < 1e-9, f"max diff {worst:.2e}"))
-
-    worst = 0.0
-    failures = 0
-    for _ in range(30):
-        d = int(rng.integers(2, 5))
-        P = rng.random((d, d)) + 0.05
-        P /= P.sum(axis=1, keepdims=True)
-        w = _random_weights(rng, d)
-        try:
-            spec = entropy.renyi2_scrabble(P, w)
-            worst = max(worst, abs(spec.p_eigen - spec.p_root))
-        except ArithmeticError:
-            failures += 1
-    checks.append(("stretched-chain eigenvalue/root agreement (30 specs)",
-                   failures == 0 and worst < 1e-9,
-                   f"{failures} failures, max diff {worst:.2e}"))
-
-    seq = sources.sample(sources.IIDSource(np.array([0.25, 0.25, 0.5])), 400, 7)
-    ident = encoders.IdentityEncoder()
-    ok_enc = np.array_equal(encoders.encode(ident, seq, 123).data, seq.data[:123])
-    noiseless = encoders.ZeroInflation(epsilon=0.0, mask_seed=5)
-    ok_enc &= np.array_equal(encoders.encode(noiseless, seq, 400).data, seq.data)
-    stretch = encoders.StretchEncoder((1, 3, 2))
-    image = encoders.encode(stretch, seq, 200)
-    ok_enc &= _stretch_roundtrip(stretch, seq, image)
-    checks.append(("encoder identities (prefix, zero-noise, stretch decode)",
-                   bool(ok_enc), ""))
-
-    # explicit states are taken mod 1, so the state 1.0 is probed just below it
-    probes = [(0.0, 0.0), (0.3, 0.7), (0.5, 0.2), (math.nextafter(1.0, 0.0), 1.0)]
-    theta = _build_system({"kind": "noniid_2x3x"})
-    ok_theta = all(abs(dynamics.iterate_random(theta, w, 0.0, 2, seed)[1][1] - img) < 1e-12
-                   for w, img in probes)
-    checks.append(("driver branch values", ok_theta, ""))
-
-    worst = 0.0
-    for _ in range(20):
-        d = int(rng.integers(2, 6))
-        P = rng.random((d, d)) + 0.05
-        P /= P.sum(axis=1, keepdims=True)
-        mu = sources.stationary_distribution(P)
-        worst = max(worst, float(np.max(np.abs(mu @ P - mu))))
-    checks.append(("stationary distributions are fixed points",
-                   worst < 1e-10, f"max residual {worst:.2e}"))
-
-    # TimesMap(2) refreshes every 865 steps, so 2000 points pass two refreshes
-    n = 2000
-    mismatches = 0
-    for m in (2, 4, 8):
-        fibers = dynamics._fibers((dynamics.TimesMap(m),), True)
-        for eps in (0.0, 1e-3):
-            noise = (rng.uniform(-eps, eps, n - 1) * 2.0 ** 62).astype(np.int64)
-            (x,), refresher = dynamics._start(None, 1, seed, m)
-            register = dynamics._shift_register(m.bit_length() - 1, x, refresher, n, noise)
-            coords, refresher = dynamics._start(None, 1, seed, m)
-            loop = np.fromiter(dynamics._orbit(fibers, coords, refresher,
-                                               np.zeros(n - 1, dtype=np.int64), noise),
-                               dtype=np.int64, count=n)
-            mismatches += not np.array_equal(register, loop)
-    checks.append(("orbit shift-register/integer-loop equivalence (m = 2, 4, 8)",
-                   mismatches == 0, f"{mismatches} mismatches"))
-
-    # the oracle warns on every undersampled k; the rows themselves are compared
-    mismatches = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for t in range(60):
-            size, n = int(rng.integers(1, 6)), int(rng.integers(5, 5001))
-            data = rng.integers(0, size, n)
-            if t % 2:  # end in a run of zeros, which the padding collides with
-                data[n - int(rng.integers(1, 100)):] = 0
-            seq = sources.SymbolSeq(sources.Alphabet(size), data)
-            _, table = entropy.empirical_plateau(seq)
-            mismatches += sum(est != entropy.renyi2_empirical(seq, est.k) for est in table)
-    checks.append(("entropy plateau / per-k oracle equivalence (60 sequences)",
-                   mismatches == 0, f"{mismatches} mismatched rows"))
-
-    # a threshold of 0 or 1 is a deterministic row and t_0 < t_1 gives swap
-    # steps; `sample` runs 2 * 4096 + 3 symbols, across two chunk ends
-    mismatches = 0
-    pairs = [(0.0, 1.0), (1.0, 0.0), (0.0, 0.4), (0.7, 1.0), (0.3, 0.3), (1.0, 1.0)]
-    pairs += [tuple(rng.random(2).tolist()) for _ in range(34)]
-    n = 2 * sources._SAMPLE_CHUNK + 3
-    for t0, t1 in pairs:
-        rows = [(t0,), (t1,)]
-        v = rng.random(int(rng.integers(1, n + 1)))
-        v[::31], v[1::31] = t0, t1  # uniforms on a threshold take the upper bucket
-        for state in (0, 1):
-            mismatches += not np.array_equal(sources._two_state_walk(rows, v, state),
-                                             sources._chain_walk(rows, v, state))
-        chain = sources.MarkovSource(np.array([[t0, 1 - t0], [t1, 1 - t1]]), np.full(2, 0.5))
-        seed = int(rng.integers(2 ** 32))
-        got = sources.sample(chain, n, seed).data.tolist()
-        u = np.random.default_rng(seed).random(n)
-        mismatches += got[1:] != sources._chain_walk(rows, u[1:], got[0])
-    checks.append(("two-state sampler / per-step loop equivalence (40 chains)",
-                   mismatches == 0, f"{mismatches} mismatches"))
-
-    return SelfTestReport(checks)
-
-
-def _random_weights(rng: np.random.Generator, d: int) -> tuple[int, ...]:
-    while True:
-        w = tuple(int(v) for v in rng.integers(1, 5, size=d))
-        if math.gcd(*w) == 1:
-            return w
-
-
-def _stretch_roundtrip(enc: encoders.StretchEncoder, raw: sources.SymbolSeq,
-                       image: sources.SymbolSeq) -> bool:
-    """Collapse maximal runs of the image back into a prefix of the raw input."""
-    decoded: list[int] = []
-    data = image.data
-    i = 0
-    while i < len(data):
-        j = i
-        while j < len(data) and data[j] == data[i]:
-            j += 1
-        decoded.extend([int(data[i])] * ((j - i) // enc.weights[int(data[i])]))
-        i = j
-    return np.array_equal(np.asarray(decoded, dtype=np.int64),
-                          raw.data[:len(decoded)])

@@ -92,6 +92,8 @@ def lcs_oracle(x: SymbolSeq, y: SymbolSeq) -> MatchResult:
 def _check_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]:
     _check_pair(x, y)
     ns = [int(n) for n in schedule]
+    if not ns:
+        raise ValueError("schedule must not be empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("schedule must be strictly increasing")
     if ns[0] < 1 or ns[-1] > min(x.length, y.length):

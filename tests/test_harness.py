@@ -9,7 +9,7 @@ import yaml
 
 from matchdim import cli, harness
 from matchdim.harness import (ExperimentPlan, fit_slope, plan_from_config, run,
-                              selftest, theoretical_slope_limit)
+                              theoretical_slope_limit)
 from oracles import scrabble_crosscheck
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -481,12 +481,6 @@ class TestScrabbleCrosscheck:
         assert all(0 <= d <= 2 for d in diffs)
 
 
-class TestSelfTest:
-    def test_all_checks_pass(self):
-        report = selftest()
-        assert report.ok, "\n".join(report.lines())
-
-
 class TestCli:
     def _write_config(self, tmp_path, **overrides):
         cfg = {"experiment": "lcs_law", "seed": 4, "trials": 3,
@@ -666,6 +660,19 @@ class TestCli:
         assert cli.main(["lcs-law", "--config", str(cfg)]) == 2
         assert "must be a YAML mapping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, wording", [
+        ("schedule: [1, 2\n", "expected ',' or ']'"),
+        (None, "No such file or directory"),
+    ], ids=["unparsable", "missing"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, text, wording):
+        cfg = tmp_path / "cfg.yaml"
+        if text is not None:
+            cfg.write_text(text)
+        assert cli.main(["lcs-law", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and wording in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
         cfg = self._write_config(tmp_path)
@@ -673,6 +680,3 @@ class TestCli:
             cli.main(["lcs-law", "--config", str(cfg), "--threads", threads])
         assert exit_info.value.code == 2
         assert "--threads must be at least 1" in capsys.readouterr().err
-
-    def test_selftest_command(self):
-        assert cli.main(["selftest"]) == 0

@@ -115,6 +115,13 @@ class TestFastPath:
         with pytest.raises(ValueError):
             lcs_lengths_over_schedule(x, x, (2, 2))
 
+    def test_schedule_must_not_be_empty(self):
+        x = seq([0, 1, 0], 2)
+        with pytest.raises(ValueError, match="empty"):
+            lcs_lengths_over_schedule(x, x, [])
+        with pytest.raises(ValueError, match="empty"):
+            masked_window_lcs(x, x, np.ones(3, dtype=np.int64), [])
+
 
 def low_entropy_pair(seed, size, nx, ny):
     # one symbol dominates, so matches are long and ties are common

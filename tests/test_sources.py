@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 
 from matchdim import (Alphabet, IIDSource, MarkovSource, SymbolSeq, sample,
                       stationary_distribution)
-from matchdim.sources import WindowClasses, collision_sum, window_counts
+from matchdim.sources import (WindowClasses, _chain_walk, _two_state_walk,
+                              collision_sum, window_counts)
 from oracles import block_counts, ordered_counts
 
 
@@ -131,6 +132,17 @@ class TestSample:
         got = sample(MarkovSource(P, init), n, seed)
         assert got.data.dtype == np.int64
         assert got.data.tolist() == expected
+
+    # a threshold of 0 or 1 is a deterministic row, and t_0 < t_1 gives swap
+    # steps; uniforms drawn exactly on a threshold take the upper bucket
+    @pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.4), (0.7, 1.0),
+                                        (0.3, 0.3), (1.0, 1.0), (0.2, 0.8), (0.8, 0.2)])
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_two_state_walk_on_the_thresholds(self, t0, t1, state):
+        rows = [(t0,), (t1,)]
+        v = np.random.default_rng(3).random(1000)
+        v[::31], v[1::31] = t0, t1
+        assert _two_state_walk(rows, v, state).tolist() == _chain_walk(rows, v, state)
 
 
 class TestBlockCounts:
