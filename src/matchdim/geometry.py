@@ -9,10 +9,13 @@ yields chunks (d, i, j) holding every pair within r. It buckets pb into one
 `_Grid` with cells just wider than r and takes the pairs whose cells differ by
 at most one in each axis, cyclically on the torus. A split axis is never
 narrower than r, and an axis held in one cell, however narrow, puts every
-pair in neighbouring cells. Cells c-1..c+1 of the last axis are one range of
-the grid's sorted order, so each offset of the leading axes is one range
-lookup; with pb None, pa joins itself by a half stencil, each unordered pair
-once. Where the grid has at most three cells per axis, row blocks of the full
+pair in neighbouring cells. Each point set takes its cell order from one sort
+of packed int64 keys, flat cell << ib | index, ib the bits that index the
+larger set; each axis is clipped to 2^((62 - ib) // dim) cells, which keeps
+the keys below 2^62. Cells c-1..c+1 of the last axis are one range of the
+grid's sorted order, so each offset of the leading axes is one range lookup;
+with pb None, pa joins itself by a half stencil, each unordered pair once.
+Where the grid has at most three cells per axis, row blocks of the full
 matrix serve instead. Otherwise every torus axis, of span 1, has more than
 three cells, so no pair comes twice.
 `_least_by_prefix` reduces the chunks to the least (d, i, j) with i, j < n
@@ -21,13 +24,15 @@ for each n: in (d, i, j) order, the first pair with max(i, j) < n.
 A single-n search widens w fourfold from 4 span n^(-2/dim) until some pair
 lies within w; the least of them is the least overall. A distance profile,
 m_n along a schedule, first gives m_n = 0 to each n, from the largest down,
-where `_common_point` finds a coincidence. The rest run in passes: since m_n
-never increases with n, r = m_{n0} from a single-n search at the pass's first
-n bounds every later minimum, and one `_close_pairs` call at r over the
-pass's largest n serves them all. `shortest_distance_fast` is the profile of
-one n. Every route folds the metric over coordinates in the same order, and
-the witness is the least (d, i, j), the reference's first minimum in
-row-major order, so the fast and reference answers are bitwise equal.
+where `_common_point` finds a coincidence: one sort of side-tagged keys, the
+first words >> 2, filters the rows, and a sort of whole rows decides. The
+rest run in passes: since m_n never increases with n, r = m_{n0} from a
+single-n search at the pass's first n bounds every later minimum, and one
+`_close_pairs` call at r over the pass's largest n serves them all.
+`shortest_distance_fast` is the profile of one n. Every route folds the
+metric over coordinates in the same order, and the witness is the least
+(d, i, j), the reference's first minimum in row-major order, so the fast
+and reference answers are bitwise equal.
 
 The correlation dimension is the least-squares slope (`fit_slope`, the
 package's one least-squares fit, which the harness also uses) of the log
@@ -47,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TORUS, Orbit
+from .matching import _keys_meet
 
 _BLOCK_ENTRIES = 1 << 14
 _CHUNK_PAIRS = 1 << 14
@@ -164,19 +170,26 @@ def shortest_distance(orbit_a: Orbit, orbit_b: Orbit, n: int) -> NearestPair:
 
 
 class _Grid:
-    """Points bucketed into an axis-aligned cell grid (sorted flat index)."""
+    """Points bucketed into an axis-aligned cell grid, in flat cell order and
+    index order within a cell, from one sort of packed keys flat << ib | index."""
 
     def __init__(self, pts: np.ndarray, w: float, space: str,
-                 mins: np.ndarray, spans: np.ndarray):
+                 mins: np.ndarray, spans: np.ndarray, count: int):
         self.torus = space == TORUS
-        # at most 2^(62 // dim) cells per axis keep every flat index in int64;
+        self.ib = int(count).bit_length()  # bits that index any of count points
+        # at most 2^((62 - ib) // dim) cells per axis keep every packed key below 2^62;
         # a clipped axis only gets wider cells, which still hold every close pair
-        self.k_axes = np.clip(spans / w, 1, 2.0 ** (62 // spans.size)).astype(np.int64)
+        self.k_axes = np.clip(spans / w, 1, 2.0 ** ((62 - self.ib) // spans.size)).astype(np.int64)
         self.widths = spans / self.k_axes
         self.mins = mins
-        flat = self._flatten(self._cells(pts))
-        self.order = np.argsort(flat)
-        self.sorted_flat = flat[self.order]
+        self.sorted_flat, self.order = self._sorted(pts)
+
+    def _sorted(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The flat cells of pts in increasing order, and the index of each."""
+        keys = self._flatten(self._cells(pts)) << self.ib | np.arange(len(pts))
+        keys.sort()
+        order = keys & ((1 << self.ib) - 1)
+        return np.right_shift(keys, self.ib, out=keys), order
 
     def _cells(self, pts: np.ndarray) -> np.ndarray:
         cells = ((pts - self.mins) / self.widths).astype(np.int64)
@@ -210,12 +223,7 @@ class _Grid:
         """
         # queries in cell order keep the searchsorted keys sorted, which
         # makes their lookups cache-local
-        if query is None:
-            qorder, qflat = self.order, self.sorted_flat
-        else:
-            qflat = self._flatten(self._cells(query))
-            qorder = np.argsort(qflat)
-            qflat = qflat[qorder]
+        qflat, qorder = (self.sorted_flat, self.order) if query is None else self._sorted(query)
         *lead, c = np.unravel_index(qflat, self.k_axes.tolist())  # the query's cells
         del qflat  # only the cells stay alive while chunks are out
         k_last = int(self.k_axes[-1])
@@ -269,19 +277,19 @@ def _space_frame(space: str, *pointsets) -> tuple[np.ndarray, np.ndarray]:
 def _common_point(pa: np.ndarray, pb: np.ndarray) -> tuple[int, int] | None:
     """Lexicographically smallest (i, j) with pa[i] == pb[j] bytewise, if any.
 
-    Only rows whose first uint64 word occurs in the other set can match. They
-    are sorted together by a stable sort, so equal rows form runs led by their
-    least i, then by their least j.
+    Only rows whose key, the first uint64 word >> 2, occurs in the other set
+    can match; one sort of side-tagged keys (`_keys_meet`) finds those keys.
+    The key is only a filter: the rows that hold one are sorted together by
+    a stable sort on whole rows, so equal rows form runs led by their least
+    i, then by their least j.
     """
     wa, wb = pa.view(np.uint64), pb.view(np.uint64)
-    # sorted keys keep the lookups cache-local
-    first_a, first_b = np.sort(wa[:, 0]), np.sort(wb[:, 0])
-    at = np.minimum(np.searchsorted(first_b, first_a), first_b.size - 1)
-    shared = first_a[first_b[at] == first_a]
+    ka, kb = wa[:, 0] >> 2, wb[:, 0] >> 2  # below 2^62, as the tag needs
+    shared = _keys_meet(ka, kb)
     if shared.size == 0:
         return None
-    ia = np.flatnonzero(np.isin(wa[:, 0], shared))
-    jb = np.flatnonzero(np.isin(wb[:, 0], shared))
+    ia = np.flatnonzero(np.isin(ka, shared))
+    jb = np.flatnonzero(np.isin(kb, shared))
     words = np.vstack((wa[ia], wb[jb]))
     order = np.lexsort(words.T[::-1])  # stable: equal rows keep a, then b, by index
     rows, index, from_b = words[order], np.concatenate((ia, jb))[order], order >= ia.size
@@ -305,7 +313,8 @@ def _close_pairs(pa: np.ndarray, pb: np.ndarray | None, space: str, r: float):
     """
     join, pb = pb is None, pa if pb is None else pb
     mins, spans = _space_frame(space, pa, pb)
-    grid = _Grid(pb, float(np.nextafter(r, math.inf)) * (1.0 + 1e-12), space, mins, spans)
+    w = float(np.nextafter(r, math.inf)) * (1.0 + 1e-12)
+    grid = _Grid(pb, w, space, mins, spans, max(len(pa), len(pb)))
     if grid.exhaustive:
         rows = max(1, _BLOCK_ENTRIES // len(pb))
         for i0 in range(0, len(pa), rows):
@@ -315,7 +324,8 @@ def _close_pairs(pa: np.ndarray, pb: np.ndarray | None, space: str, r: float):
             yield d[i, j], i + i0, j
         return
     for i, j in grid.pairs(None if join else pa):
-        d = _fold_metric((pa[i, c] - pb[j, c] for c in range(pa.shape[1])), space)
+        # whole rows by take: a strided column's own take would copy the column
+        d = _fold_metric(pa.take(i, axis=0).T - pb.take(j, axis=0).T, space)
         near = np.flatnonzero(d <= r)
         yield d[near], i[near], j[near]
 

@@ -162,12 +162,12 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
     plan = ExperimentPlan(**fields)
     # build each nested spec once, so a bad key or value fails here, not in a trial
     try:
-        for build, spec in ((_build_source, plan.source), (_build_system, plan.system),
-                            (_build_observation, plan.observation)):
+        src = None if plan.source is None else _build_source(plan.source)
+        for build, spec in ((_build_system, plan.system), (_build_observation, plan.observation)):
             if spec is not None:
                 build(spec)
         _encoder_for_trial(plan, 0)
-        theoretical_slope_limit(plan)  # specs that do not fit together fail here
+        theoretical_slope_limit(plan, src)  # specs that do not fit together fail here
     except TypeError as e:  # a value of the wrong type, such as m: [2]
         raise ValueError(f"bad value in a nested spec: {e}") from None
     return plan
@@ -294,9 +294,8 @@ def _build_observation(spec: dict | None) -> dynamics.ObservationSpec:
     return obs
 
 
-def closed_form_entropy(plan: ExperimentPlan) -> float:
-    """Collision entropy rate H2 of the configured encoded source."""
-    src = _build_source(plan.source)
+def closed_form_entropy(plan: ExperimentPlan, src) -> float:
+    """Collision entropy rate H2 of the configured encoded source, src built."""
     enc = _encoder_for_trial(plan, 0)
     if isinstance(enc, encoders.IdentityEncoder):
         if isinstance(src, sources.IIDSource):
@@ -341,17 +340,17 @@ def _observed_system(plan: ExperimentPlan) -> tuple[
     return system, obs, min(probe.dim, system.dim)
 
 
-def theoretical_slope_limit(plan: ExperimentPlan) -> float | None:
+def theoretical_slope_limit(plan: ExperimentPlan, src=None) -> float | None:
     """The target of every gate: H2 itself, 2/H2, or 2/C for both orbit laws.
 
-    C is the observed dimension of a Lebesgue system seen whole or through a
+    H2 is that of src, the plan's source, built here when src is None. C is
+    the observed dimension of a Lebesgue system seen whole or through a
     coordinate. A collapse or Lipschitz observation, or a noise driver, gives
     None: `run` then estimates C, unless the plan expects a collapse.
     """
-    if plan.kind == "entropy_check":
-        return closed_form_entropy(plan)
-    if plan.kind in ("lcs_law", "scrabble_law"):
-        return 2.0 / closed_form_entropy(plan)
+    if plan.kind in ("entropy_check", "lcs_law", "scrabble_law"):
+        h2 = closed_form_entropy(plan, _build_source(plan.source) if src is None else src)
+        return h2 if plan.kind == "entropy_check" else 2.0 / h2
     system, obs, dim = _observed_system(plan)
     if (isinstance(obs, (dynamics.Collapse, dynamics.LipschitzAffine))
             or isinstance(getattr(system, "driver", None), dynamics.UniformBallDriver)):
@@ -428,17 +427,18 @@ def _run_trials(plan: ExperimentPlan, fn, threads: int):
 
 def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """Execute a plan; deterministic in (plan, master seed) for any thread count."""
-    target = theoretical_slope_limit(plan)
+    orbit = plan.kind.endswith("orbit_law")
+    # the source is built once: a stationary chain solves for its law
+    src = None if orbit else _build_source(plan.source)
+    target = theoretical_slope_limit(plan, src)
     details: dict = {}
     if target is None and not plan.expect_collapse:  # an orbit law with C unknown
         dim_fit = estimate_orbit_dimension(plan)
         details["estimated_dimension"] = dim_fit.slope
         target = 2.0 / dim_fit.slope
-    orbit = plan.kind.endswith("orbit_law")
     if orbit:
         per_trial = _run_trials(plan, lambda t: _orbit_trial(plan, t), threads)
-    else:  # the source is built once: a stationary chain solves for its law
-        src = _build_source(plan.source)
+    else:
         trial_fn = _entropy_trial if plan.kind == "entropy_check" else _lcs_trial
         per_trial = _run_trials(plan, lambda t: trial_fn(plan, src, t), threads)
     if plan.kind == "entropy_check":

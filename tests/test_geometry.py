@@ -134,6 +134,26 @@ class TestFastPath:
                 fast = shortest_distance_fast(Orbit(a[:n]), Orbit(b[:n]), n)
                 assert fast == shortest_distance(Orbit(a[:n]), Orbit(b[:n]), n)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_common_point_checks_the_bits_the_key_drops(self, dim):
+        # first words that differ only in the two low bits share a key:
+        # the exact test on whole rows must still tell them apart
+        pa = np.random.default_rng(dim).random((50, dim))
+        pb = pa.copy()
+        pb.view(np.uint64)[:, 0] ^= np.arange(50, dtype=np.uint64) % 3 + 1
+        assert _common_point(pa, pb) is None
+        pb[[30, 7, 3]] = pa[[40, 40, 45]]  # several coincidences: the least (i, j)
+        assert _common_point(pa, pb) == (40, 7)
+
+    def test_common_point_in_the_cube_with_negative_coordinates(self):
+        rng = np.random.default_rng(12)
+        pa, pb = rng.uniform(-3.0, 1.0, (200, 2)), rng.uniform(-3.0, 1.0, (300, 2))
+        assert (pa < 0).all(axis=1).any()
+        assert _common_point(pa, pb) is None
+        i = int(np.flatnonzero((pa < 0).all(axis=1))[0])
+        pb[250] = pa[i]  # its first word has the sign bit set
+        assert _common_point(pa, pb) == (i, 250)
+
     def test_cube_space(self):
         rng = np.random.default_rng(11)
         a = Orbit(rng.random((200, 2)) * 3.0, space="cube")
@@ -402,8 +422,9 @@ class TestCloseGridShape:
     at least r wide, and a torus grid is exhaustive or has more than three
     cells on every axis, so the shifts -1, 0, 1 stay distinct modulo every
     cell count and `pairs` yields no pair twice. Cell counts are clipped
-    before the int64 cast, so their product, the flat index range, stays
-    within 2^62."""
+    before the int64 cast, so the flat index range, their product, shifted
+    left by the bits that index `count` points, stays within 2^62: the
+    packed sort keys fit in int64."""
 
     @pytest.mark.parametrize("space", ["torus", "cube"])
     def test_split_axes_are_wide_and_torus_axes_agree(self, space):
@@ -416,13 +437,16 @@ class TestCloseGridShape:
                 spans = 10.0 ** rng.uniform(-22.0, 3.0, dim)
                 spans[rng.random(dim) < 0.2] = 1e-300  # a flat axis, as floored
             w = float(np.nextafter(r, np.inf)) * (1.0 + 1e-12)
-            with np.errstate(invalid="raise"):  # span / w may pass 2^63
-                grid = geometry._Grid(np.zeros((1, dim)), w, space, np.zeros(dim), spans)
-            split = grid.k_axes > 1
-            assert (grid.widths[split] >= r).all(), (r, spans)
-            assert math.prod(grid.k_axes.tolist()) <= 2 ** 62, (r, spans)
-            if space == "torus":
-                assert grid.exhaustive or (grid.k_axes > 3).all(), (r, grid.k_axes)
+            for count in (1, 2 ** 17, 2 ** 31 - 1):
+                with np.errstate(invalid="raise"):  # span / w may pass 2^63
+                    grid = geometry._Grid(np.zeros((1, dim)), w, space, np.zeros(dim),
+                                          spans, count)
+                split = grid.k_axes > 1
+                assert (grid.widths[split] >= r).all(), (r, spans)
+                keys = math.prod(grid.k_axes.tolist()) * 2 ** count.bit_length()
+                assert keys <= 2 ** 62, (r, spans, count)
+                if space == "torus":
+                    assert grid.exhaustive or (grid.k_axes > 3).all(), (r, grid.k_axes)
 
 
 def _grid_points(space, dim, m, seed):
@@ -463,25 +487,28 @@ class TestGridPairs:
     @staticmethod
     def grid_at(r, space, pb, *frame):
         w = float(np.nextafter(r, np.inf)) * (1.0 + 1e-12)  # as `_close_pairs` builds it
-        return geometry._Grid(pb, w, space, *geometry._space_frame(space, pb, *frame))
+        count = max(len(pts) for pts in (pb, *frame))
+        return geometry._Grid(pb, w, space, *geometry._space_frame(space, pb, *frame), count)
 
     @pytest.mark.parametrize("space", ["torus", "cube"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("cells", [2, 4, 9])
     def test_bipartite(self, space, dim, cells):
-        pa, pb = _grid_points(space, dim, 160, 1), _grid_points(space, dim, 120, 2)
-        r = 1.0 / (cells + 0.2)
-        grid = self.grid_at(r, space, pb, pa)
-        assert (grid.k_axes == cells).all() if space == "torus" else grid.k_axes[0] == cells
-        if not grid.exhaustive:
-            got = _pair_list(grid.pairs(pa))
-            assert len(got) == len(set(got))
-            assert set(got) == set(zip(*np.nonzero(_stencil(grid, pa, pb))))
-        full = geometry._block_dist(pa, pb, space)
-        d, i, j = map(np.concatenate, zip(*geometry._close_pairs(pa, pb, space, r)))
-        assert len(set(zip(i.tolist(), j.tolist()))) == i.size
-        assert np.array_equal(np.sort(i * len(pb) + j), np.flatnonzero(full <= r))
-        assert (d == full[i, j]).all()
+        pb = _grid_points(space, dim, 120, 2)
+        for m_a in (160, 300):  # more query points than bucketed ones: ib follows pa
+            pa = _grid_points(space, dim, m_a, 1)
+            r = 1.0 / (cells + 0.2)
+            grid = self.grid_at(r, space, pb, pa)
+            assert (grid.k_axes == cells).all() if space == "torus" else grid.k_axes[0] == cells
+            if not grid.exhaustive:
+                got = _pair_list(grid.pairs(pa))
+                assert len(got) == len(set(got))
+                assert set(got) == set(zip(*np.nonzero(_stencil(grid, pa, pb))))
+            full = geometry._block_dist(pa, pb, space)
+            d, i, j = map(np.concatenate, zip(*geometry._close_pairs(pa, pb, space, r)))
+            assert len(set(zip(i.tolist(), j.tolist()))) == i.size
+            assert np.array_equal(np.sort(i * len(pb) + j), np.flatnonzero(full <= r))
+            assert (d == full[i, j]).all()
 
     @pytest.mark.parametrize("space", ["torus", "cube"])
     @pytest.mark.parametrize("dim", [1, 2, 3])

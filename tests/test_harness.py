@@ -360,6 +360,20 @@ class TestRun:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("kind", ["lcs_law", "entropy_check"])
+    def test_the_plan_and_the_run_each_build_the_source_once(self, kind, monkeypatch):
+        calls, build = [], harness._build_source
+        monkeypatch.setattr(harness, "_build_source",
+                            lambda spec: calls.append(spec) or build(spec))
+        cfg = {"experiment": kind, "schedule": [64, 128, 256], "trials": 2, "seed": 7,
+               "source": {"kind": "markov", "transition": [[0.9, 0.1], [0.4, 0.6]]}}
+        if kind == "entropy_check":
+            cfg.update(schedule=[1], sample_length=500)
+        plan = plan_from_config(cfg)
+        assert len(calls) == 1
+        run(plan)
+        assert len(calls) == 2
+
     def test_entropy_gate_reads_tolerance_abs(self):
         with open(CONFIG_DIR / "entropy_markov.yaml") as fh:
             cfg = yaml.safe_load(fh)
@@ -413,9 +427,9 @@ class TestOutputGuard:
     """Configs keep their exact output bytes through any kernel or engine change.
 
     The `random_perturbed` and `lcs_markov` benchmark references, the
-    dimension estimate of the full `random_perturbed` plan, orbit configs,
-    `zero_inflation`, whose masked matcher no benchmark workload runs, and
-    the scrabble and entropy routes through `run`.
+    dimension estimate of the full `random_perturbed` plan, orbit configs
+    (`orbit_collapse` whole), `zero_inflation`, whose masked matcher no
+    benchmark workload runs, and the scrabble and entropy routes through `run`.
     """
 
     def test_random_perturbed_matches_benchmark_reference(self):
@@ -446,6 +460,11 @@ class TestOutputGuard:
     def test_cut_orbit_configs_are_pinned(self, name, digest, passed):
         cut = {"start_pow2": 10, "stop_pow2": 14}
         assert _csv_digest(name, trials=1, schedule=cut) == (digest, passed)
+
+    # the one config whose trials find coincident points (`_common_point`)
+    def test_orbit_collapse_is_pinned(self):
+        assert _csv_digest("orbit_collapse") == (
+            "e94568b87ece3253c09556e20469c2085e7c981b4d42b68d88f1cdbdf5e3ed9a", True)
 
     def test_zero_inflation_is_pinned(self):
         assert _csv_digest("zero_inflation", trials=3) == (
