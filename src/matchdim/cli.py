@@ -4,10 +4,11 @@ Subcommands map one-to-one onto experiment kinds (`lcs-law`, `scrabble-law`,
 `orbit-law`, `random-orbit-law`, `entropy`). Each reads a YAML config, writes
 the per-trial CSV to --out (or stdout) and a one-line summary to stderr; the
 exit status is 0 exactly when every configured tolerance gate passed, 1 when
-a gate failed, and 2 for a bad flag such as `--threads 0` or a config error
+a gate failed, and 2 for a bad flag such as `--threads 0`, a config error
 (a file that cannot be read or parsed, not a mapping, a kind that does not
 match the subcommand, a bad, missing or unknown key, or specs that do not fit
-together), which is reported as one line on stderr.
+together) or an --out path that cannot be written; a config or output error
+is reported as one line on stderr, before any trial runs.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    if args.out:
+        try:  # fail before the trials run, not after
+            open(args.out, "a").close()
+        except OSError as e:
+            print(f"output error: {e}", file=sys.stderr)
+            return 2
     result = harness.run(plan, threads=args.threads)
     csv_text = result.to_csv()
     if args.out:

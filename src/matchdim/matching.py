@@ -12,8 +12,10 @@ on the mask-anchored keys of `sources.MaskedWindows`: for each length it
 sorts the packed keys of every window once, keeps the starts of the windows
 whose class the other side holds (the survivors), and finds the longest k
 by an exponential probe then a bisection over the survivors alone, since a
-longer match starts where a shorter one does. The fast path is the
-production route, cross-checked by the independent oracle.
+longer match starts where a shorter one does. Once the answer reaches the
+packed span, one span probe over the largest prefixes serves every later
+length. The fast path is the production route, cross-checked by the
+independent oracle.
 
 `highest_score` generalizes match length to weighted match score: every
 symbol carries a positive integer weight and a common substring scores the
@@ -124,19 +126,34 @@ def _survivors(keys: np.ndarray, common: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_held(keys, common))
 
 
+def _full_probe(classes: WindowClasses | MaskedWindows, nx: int, k: int, mx: int, my: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Starts, in x ++ y, of the k-windows of x[:mx] whose class y[:my] holds, and
+    of those of y[:my] whose class x[:mx] holds: one sort of every window's key."""
+    kx, ky = classes.keys(k, 0, mx - k + 1), classes.keys(k, nx, nx + my - k + 1)
+    common = _keys_meet(kx, ky)
+    if common.size == 0:
+        return common, common
+    return _survivors(kx, common), _survivors(ky, common) + nx
+
+
 def _longest_common(classes: WindowClasses | MaskedWindows, nx: int, sizes
                     ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Longest common substring of x[:mx] and y[:my] for each (mx, my) in sizes.
 
     classes holds x ++ y, x being nx long, and sizes grow in both entries,
-    so each answer starts from the one before. Each size makes one full
-    probe, of every window of both prefixes at k0 = min(best + 1, span) on
-    the packed codes. Its one sort also yields the survivors: the starts of
-    every window whose class the other prefix holds. A k-match starts at a
-    k0-match, so every further probe (best + 1, best + 2, best + 4, ... then
-    a bisection of the last gap) tests only the survivors whose k-window
-    fits, and one that meets narrows them to the windows that met
-    (`_survivors`).
+    so each answer starts from the one before. A full probe sorts the keys
+    of every window of both prefixes at k0 = min(best + 1, span) on the
+    packed codes, and its one sort also yields the survivors: the starts of
+    every window whose class the other prefix holds. While k0 < span, each
+    size makes its own full probe of best + 1. Once k0 reaches the span it
+    stays there, as best only grows, so one span probe over the windows of
+    the largest sizes serves every later size: a match inside smaller
+    prefixes is a match inside the largest ones, so its starts are among
+    those survivors. A k-match starts at a k0-match, so every further probe
+    (best + 1, best + 2, best + 4, ... then a bisection of the last gap)
+    tests only the survivors whose k-window fits the prefixes, and one that
+    meets narrows them to the windows that met (`_survivors`).
 
     Returns the lengths, and the survivors of x and of y after the last
     probe that met, as starts in x ++ y: with one size, every window of the
@@ -144,17 +161,22 @@ def _longest_common(classes: WindowClasses | MaskedWindows, nx: int, sizes
     """
     span, out, best = classes.span, [], 0
     sx = sy = np.zeros(0, dtype=np.int64)
+    top = None
     for mx, my in sizes:
         limit, k = min(mx, my), min(best + 1, span)
         if best >= limit:
             out.append(best)
             continue
-        kx, ky = classes.keys(k, 0, mx - k + 1), classes.keys(k, nx, nx + my - k + 1)
-        common = _keys_meet(kx, ky)
-        if common.size == 0:  # only a probe of best + 1 can fail here
-            out.append(best)
-            continue
-        sx, sy = _survivors(kx, common), _survivors(ky, common) + nx
+        if k < span:  # a full probe of best + 1
+            sx, sy = _full_probe(classes, nx, k, mx, my)
+            if sx.size == 0:
+                out.append(best)
+                continue
+            best, step = k, 2
+        else:  # one span probe over the largest prefixes serves every size from here
+            if top is None:
+                top = _full_probe(classes, nx, span, *sizes[-1])
+            (sx, sy), step = top, 1
 
         def probe(k: int) -> bool:
             nonlocal sx, sy
@@ -168,9 +190,6 @@ def _longest_common(classes: WindowClasses | MaskedWindows, nx: int, sizes
                 sx, sy = fx[_survivors(kx, common)], fy[_survivors(ky, common)]
             return common.size > 0
 
-        step = 1
-        if k > best:  # the full probe was the probe of best + 1
-            best, step = k, 2
         while best + step <= limit and probe(best + step):
             best += step
             step *= 2
@@ -211,8 +230,10 @@ def lcs_lengths_over_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]
     """Longest-common-substring lengths of matched prefixes for each n in schedule.
 
     One set of window classes over x[:top] ++ y[:top], top = max(schedule),
-    serves every n; each n sorts the packed keys of its prefixes once, and
-    later probes test only the windows that can still match.
+    serves every n; each n sorts the packed keys of its prefixes once until
+    the answer reaches the packed span, one sort at the span then serves
+    every later n, and later probes test only the windows that can still
+    match.
     """
     ns = _check_schedule(x, y, schedule)
     classes = WindowClasses(np.concatenate((x.data[:ns[-1]], y.data[:ns[-1]])))

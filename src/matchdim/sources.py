@@ -10,8 +10,9 @@ This module provides:
 - Overlapping window (block) counts and the collision sum sum_B (N_B / M)^2
   over observed length-k blocks, the plug-in ingredient of the order-2 rate.
 - Exact codes of the zero-padded windows of one length at every start, built
-  by doubling with no sort (`_padded_window_codes`), shared by the window
-  classes and the entropy plateau.
+  by doubling and one step of overlapping halves, with no sort
+  (`_padded_window_codes`), shared by the window classes and the entropy
+  plateau.
 - Exact window keys of any length (`WindowClasses`), shared by window counts
   and the substring matcher: packed codes up to 62 bits, prefix-doubling
   ranks past them, for a range of starts or for chosen ones.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_ATOL = 1e-12
-_SAMPLE_CHUNK = 1 << 12  # uniforms walked per chunk by the Markov sampler
+_SAMPLE_CHUNK = 1 << 14  # uniforms walked per chunk by the Markov sampler
 _STATIONARY_TOL, _STATIONARY_MAX_ITER = 1e-12, 10 ** 6  # stationary_distribution
 
 
@@ -245,11 +246,12 @@ def _padded_window_codes(x: np.ndarray, size: int, K: int
     Returns the codes, a spare buffer of their size and a base such that
     code // base^(K-k) codes the k-window, for every 2 <= k <= K <= x.size,
     in the lexicographic order of the windows. The codes are base-size
-    numbers, built by doubling with no sort:
-    code_2s(i) = code_s(i) size^s + code_s(i+s), so k = 1 holds too while
-    size^K <= 2^62. Past that (only a K = 3 forced over a large alphabet),
-    the leading two symbols are replaced by the rank of their pair, which is
-    below x.size.
+    numbers, built with no sort by doubling up to the largest power of two
+    P <= K, code_2s(i) = code_s(i) size^s + code_s(i+s), then one step of
+    overlapping halves, code_K(i) = code_P(i) size^(K-P) + code_P(i+P) //
+    size^(2P-K), so k = 1 holds too while size^K <= 2^62. Past that (only a
+    K = 3 forced over a large alphabet), the leading two symbols are replaced
+    by the rank of their pair, which is below x.size.
     """
     n = x.size
     if size ** K > 2 ** 62:
@@ -263,14 +265,14 @@ def _padded_window_codes(x: np.ndarray, size: int, K: int
             codes[:-2] += x[2:]
         return codes, np.empty_like(codes), size
     codes, spare, span = x.copy(), np.empty_like(x), 1
-    for bit in bin(K)[3:]:
+    while 2 * span <= K:
         np.multiply(codes, size ** span, out=spare)
         spare[:n - span] += codes[span:]
         codes, spare, span = spare, codes, 2 * span
-        if bit == "1":
-            codes *= size
-            codes[:n - span] += x[span:]
-            span += 1
+    if span < K:  # the first K - span symbols of the span-window at i + span
+        tail = np.floor_divide(codes[span:], size ** (2 * span - K), out=spare[:n - span])
+        codes *= size ** (K - span)
+        codes[:n - span] += tail
     return codes, spare, size
 
 

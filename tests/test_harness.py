@@ -692,6 +692,17 @@ class TestCli:
         assert err.startswith("config error: ") and wording in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_unwritable_out_exits_two_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        cfg = self._write_config(tmp_path)
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert cli.main(["lcs-law", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "No such file or directory" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert calls == [] and not out.parent.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
         cfg = self._write_config(tmp_path)

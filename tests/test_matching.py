@@ -252,6 +252,47 @@ class TestSurvivorProbes:
         got = self.assert_schedule_exact(x, y, (20, 40, 41, 100, 200))
         assert len(set(got[1:])) == 1
 
+    # best passes the span by n = 80 (the 70-symbol copy at 10); the longer
+    # copy lies at 250..340 in y, past the prefixes of 200 and 300 symbols
+    SPAN_SCHEDULE = (40, 80, 100, 200, 300, 340, 400)
+
+    @staticmethod
+    def pair_past_the_span(size):
+        rng = np.random.default_rng(size)
+        xd, yd = (rng.integers(0, size, 400) for _ in range(2))
+        yd[10:80] = xd[10:80]
+        yd[250:340] = xd[50:140]
+        return SymbolSeq(Alphabet(size), xd), SymbolSeq(Alphabet(size), yd)
+
+    @pytest.mark.parametrize("size, span", [(2, 62), (3, 39)])
+    def test_one_span_probe_serves_later_sizes(self, size, span):
+        x, y = self.pair_past_the_span(size)
+        assert WindowClasses(np.concatenate((x.data, y.data))).span == span
+        got = self.assert_schedule_exact(x, y, self.SPAN_SCHEDULE)
+        assert got[1] >= 70 and got[-1] >= 90
+
+    def test_one_span_probe_serves_later_masked_sizes(self):
+        x, y = self.pair_past_the_span(300)  # 9-bit symbols
+        mask = (np.random.default_rng(5).random(400) < 0.7).astype(np.int64)
+        assert MaskedWindows(np.concatenate((x.data, y.data)), mask).span == 6
+        got = masked_window_lcs(x, y, mask, self.SPAN_SCHEDULE)
+        assert got == masked_match_lengths(x, y, mask, self.SPAN_SCHEDULE)
+        assert got[1] >= 70 and got[-1] >= 90
+
+    def test_one_full_probe_at_the_span_per_schedule(self, monkeypatch):
+        calls = []
+        keys = WindowClasses.keys
+
+        def counted(self, k, start=0, stop=None):
+            calls.append((k, start, stop))
+            return keys(self, k, start, stop)
+
+        monkeypatch.setattr(WindowClasses, "keys", counted)
+        x, y = self.pair_past_the_span(2)
+        lcs_lengths_over_schedule(x, y, self.SPAN_SCHEDULE)
+        # the x and y halves of one probe, over the windows of both 400-symbol prefixes
+        assert [c for c in calls if c[0] == 62] == [(62, 0, 339), (62, 400, 739)]
+
 
 class TestMaskedWindowLcs:
     @staticmethod

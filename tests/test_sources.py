@@ -7,8 +7,9 @@ import hypothesis.strategies as st
 
 from matchdim import (Alphabet, IIDSource, MarkovSource, SymbolSeq, sample,
                       stationary_distribution)
-from matchdim.sources import (WindowClasses, _chain_walk, _two_state_walk,
-                              collision_sum, window_counts)
+from matchdim.sources import (_SAMPLE_CHUNK, WindowClasses, _chain_walk,
+                              _padded_window_codes, _two_state_walk, collision_sum,
+                              window_counts)
 from oracles import block_counts, ordered_counts
 
 
@@ -75,11 +76,12 @@ class TestSample:
         assert np.array_equal(short.data, long.data[:500])
 
     def test_prefix_stability_across_a_chunk_end(self):
-        # 4097 symbols end one past the first 4096-uniform chunk of the walk
+        # the short draw ends one past the first chunk of uniforms of the walk
         src = MarkovSource.stationary(np.array([[0.2, 0.8], [0.6, 0.4]]))
-        short = sample(src, 4097, 7)
-        long = sample(src, 9000, 7)
-        assert np.array_equal(short.data, long.data[:4097])
+        n = _SAMPLE_CHUNK + 1
+        short = sample(src, n, 7)
+        long = sample(src, 2 * _SAMPLE_CHUNK + 808, 7)
+        assert np.array_equal(short.data, long.data[:n])
 
     def test_fair_coin_frequency(self):
         # binomial: 0.002 = 4 sigma at n = 1e6
@@ -120,14 +122,15 @@ class TestSample:
             ("identical", [[0.3, 0.7], [0.3, 0.7]], [0.3, 0.7]),
         ] for seed in (0, 5, 17)])
     def test_markov_matches_inverse_cdf_loop(self, seed, P, init):
-        # 2 * 4096 + 3 symbols: the walk crosses two chunk ends
+        # two chunks and three symbols: the walk crosses two chunk ends
         P, init = np.array(P), np.array(init)
-        n = 2 * 4096 + 3
+        n = 2 * _SAMPLE_CHUNK + 3
         u = np.random.default_rng(seed).random(n)
         state = int(np.searchsorted(np.cumsum(init), u[0], "right"))
         expected = [state]
+        cums = [np.cumsum(row)[:-1] for row in P]
         for t in range(1, n):
-            state = int(np.searchsorted(np.cumsum(P[state])[:-1], u[t], "right"))
+            state = int(np.searchsorted(cums[state], u[t], "right"))
             expected.append(state)
         got = sample(MarkovSource(P, init), n, seed)
         assert got.data.dtype == np.int64
@@ -211,6 +214,25 @@ class TestWindowCounts:
         s = repetitive(1000, 500, 4)
         ref = Counter(tuple(s.data[i:i + k]) for i in range(s.length - k + 1))
         assert window_counts(s, k).tolist() == [ref[key] for key in sorted(ref)]
+
+
+class TestPaddedWindowCodes:
+    # lengths around the powers of two the doubling stops at, and the packed
+    # spans 62, 39 and 22 of sizes 2, 3 and 7 (the longest with size^K <= 2^62)
+    @pytest.mark.parametrize("size, K", [
+        (size, K) for size in (2, 3, 7)
+        for K in (1, 2, 3, 5, 22, 31, 32, 33, 39, 61, 62) if size ** K <= 2 ** 62])
+    @pytest.mark.parametrize("kind", ["random", "top-symbol"])
+    def test_codes_equal_per_window_brute_force(self, size, K, kind):
+        rng = np.random.default_rng(K)
+        for n in (K, K + 1, 2 * K + 3):
+            x = rng.integers(0, size, n) if kind == "random" else np.full(n, size - 1)
+            codes, spare, base = _padded_window_codes(x, size, K)
+            rows = x.tolist() + [0] * K  # zero past the end
+            expected = [sum(rows[i + t] * size ** (K - 1 - t) for t in range(K))
+                        for i in range(n)]
+            assert base == size and spare.shape == codes.shape
+            assert codes.tolist() == expected
 
 
 class TestWindowClasses:
