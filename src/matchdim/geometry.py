@@ -25,7 +25,7 @@ A single-n search widens w fourfold from 4 span n^(-2/dim) until some pair
 lies within w; the least of them is the least overall. A distance profile,
 m_n along a schedule, first gives m_n = 0 to each n, from the largest down,
 where `_common_point` finds a coincidence: one sort of side-tagged keys, the
-first words >> 2, filters the rows, and a sort of whole rows decides. The
+first words >> 2, picks the rows, and a sort of whole rows decides. The
 rest run in passes: since m_n never increases with n, r = m_{n0} from a
 single-n search at the pass's first n bounds every later minimum, and one
 `_close_pairs` call at r over the pass's largest n serves them all.
@@ -278,18 +278,16 @@ def _common_point(pa: np.ndarray, pb: np.ndarray) -> tuple[int, int] | None:
     """Lexicographically smallest (i, j) with pa[i] == pb[j] bytewise, if any.
 
     Only rows whose key, the first uint64 word >> 2, occurs in the other set
-    can match; one sort of side-tagged keys (`_keys_meet`) finds those keys.
+    can match; one sort of side-tagged keys (`_keys_meet`) finds those rows.
     The key is only a filter: the rows that hold one are sorted together by
     a stable sort on whole rows, so equal rows form runs led by their least
     i, then by their least j.
     """
     wa, wb = pa.view(np.uint64), pb.view(np.uint64)
     ka, kb = wa[:, 0] >> 2, wb[:, 0] >> 2  # below 2^62, as the tag needs
-    shared = _keys_meet(ka, kb)
-    if shared.size == 0:
+    ia, jb = _keys_meet(ka, kb)
+    if ia.size == 0:
         return None
-    ia = np.flatnonzero(np.isin(ka, shared))
-    jb = np.flatnonzero(np.isin(kb, shared))
     words = np.vstack((wa[ia], wb[jb]))
     order = np.lexsort(words.T[::-1])  # stable: equal rows keep a, then b, by index
     rows, index, from_b = words[order], np.concatenate((ia, jb))[order], order >= ia.size

@@ -17,8 +17,9 @@ the theoretical limit supplied by the entropy/geometry modules:
 - entropy_check: each trial's block-entropy plateau against H2 itself.
 
 Every kind runs one path: `theoretical_slope_limit` resolves the target
-before any trial (`plan_from_config` too, so specs that do not fit together
-are a config error), then one gate compares the slope or plateaus with it.
+before any trial, once per plan (in `plan_from_config`, so specs that do not
+fit together are a config error, else in `run`), then one gate compares the
+slope or plateaus with it.
 
 Per-trial streams are derived from (master seed, trial index, role) so runs
 are reproducible and thread-count independent; rows are emitted in sorted
@@ -65,6 +66,9 @@ class ExperimentPlan:
     tolerance_abs: float | None = None
     expect_collapse: bool = False
     label: str = ""
+    # the target `plan_from_config` resolved, so that `run` need not resolve it
+    # again; None when it is unknown or the plan was built directly
+    _target: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -167,7 +171,8 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
             if spec is not None:
                 build(spec)
         _encoder_for_trial(plan, 0)
-        theoretical_slope_limit(plan, src)  # specs that do not fit together fail here
+        # specs that do not fit together fail here
+        object.__setattr__(plan, "_target", theoretical_slope_limit(plan, src))
     except TypeError as e:  # a value of the wrong type, such as m: [2]
         raise ValueError(f"bad value in a nested spec: {e}") from None
     return plan
@@ -430,7 +435,7 @@ def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     orbit = plan.kind.endswith("orbit_law")
     # the source is built once: a stationary chain solves for its law
     src = None if orbit else _build_source(plan.source)
-    target = theoretical_slope_limit(plan, src)
+    target = plan._target if plan._target is not None else theoretical_slope_limit(plan, src)
     details: dict = {}
     if target is None and not plan.expect_collapse:  # an orbit law with C unknown
         dim_fit = estimate_orbit_dimension(plan)

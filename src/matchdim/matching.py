@@ -5,17 +5,19 @@ sequences: a quadratic dynamic-programming oracle (`lcs_oracle`) and a fast
 path built on exact window keys of the concatenated pair
 (`sources.WindowClasses`: packed base-size codes for windows up to 62 bits,
 prefix-doubling ranks past them). A k-window match exists when the sorted,
-side-tagged keys of the two sequences meet (`_keys_meet`). One kernel
-(`_longest_common`) serves `lcs_fast`, on sequences of any two lengths,
-`lcs_lengths_over_schedule`, on matched prefixes, and `masked_window_lcs`,
-on the mask-anchored keys of `sources.MaskedWindows`: for each length it
-sorts the packed keys of every window once, keeps the starts of the windows
-whose class the other side holds (the survivors), and finds the longest k
-by an exponential probe then a bisection over the survivors alone, since a
-longer match starts where a shorter one does. Once the answer reaches the
-packed span, one span probe over the largest prefixes serves every later
-length. The fast path is the production route, cross-checked by the
-independent oracle.
+side-tagged keys of the two sequences meet (`_keys_meet`), which also gives
+the positions of the keys that met. One kernel (`_longest_common`) serves
+`lcs_fast`, on sequences of any two lengths, `lcs_lengths_over_schedule`, on
+matched prefixes, and `masked_window_lcs`, on the mask-anchored keys of
+`sources.MaskedWindows`: for each length one full probe (`_full_probe`)
+keys every window of both prefixes, drops the keys whose hash slot the other
+side leaves empty, and meets the rest; the windows that meet are the
+survivors, and the longest k is found by an exponential probe then a
+bisection over the survivors alone, since a longer match starts where a
+shorter one does. Once the answer reaches the packed span, one span probe
+over the largest prefixes serves every later length. The hash only picks
+candidates; the sort decides every meet. The fast path is the production
+route, cross-checked by the independent oracle.
 
 `highest_score` generalizes match length to weighted match score: every
 symbol carries a positive integer weight and a common substring scores the
@@ -35,6 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sources import MaskedWindows, SymbolSeq, WindowClasses, symbol_weights
+
+_HASH = 0x9E3779B97F4A7C15  # odd, near 2^64 / golden ratio: `_full_probe`'s slot hash
 
 
 @dataclass(frozen=True)
@@ -103,38 +107,48 @@ def _check_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]:
     return ns
 
 
-def _keys_meet(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
-    """The keys both arrays hold, sorted; keys lie in [0, 2^62)."""
+def _keys_meet(kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending positions in kx and in ky of the keys both arrays hold;
+    keys lie in [0, 2^62)."""
     # sorted side-tagged keys: a key on both sides puts 2c (x) next to
     # 2c+1 (y), the only neighbours that differ in the tag bit alone
     tagged = np.concatenate((kx * 2, ky * 2 + 1))
     tagged.sort()
-    return tagged[1:][(tagged[1:] ^ tagged[:-1]) == 1] >> 1
+    common = tagged[1:][(tagged[1:] ^ tagged[:-1]) == 1] >> 1
+    if common.size == 0:
+        return common, common
 
+    def held(keys: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(common[np.minimum(np.searchsorted(common, keys), common.size - 1)]
+                              == keys)
 
-def _held(keys: np.ndarray, common: np.ndarray) -> np.ndarray:
-    """Which keys lie in common, a sorted nonempty array."""
-    return common[np.minimum(np.searchsorted(common, keys), common.size - 1)] == keys
-
-
-def _survivors(keys: np.ndarray, common: np.ndarray) -> np.ndarray:
-    """Indices of the keys that lie in common, or of every key when common
-    holds half as many or more: half or more survive then, and a search per
-    key costs more than it saves the later probes."""
-    if 2 * common.size >= keys.size:
-        return np.arange(keys.size)
-    return np.flatnonzero(_held(keys, common))
+    return held(kx), held(ky)
 
 
 def _full_probe(classes: WindowClasses | MaskedWindows, nx: int, k: int, mx: int, my: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Starts, in x ++ y, of the k-windows of x[:mx] whose class y[:my] holds, and
-    of those of y[:my] whose class x[:mx] holds: one sort of every window's key."""
+    of those of y[:my] whose class x[:mx] holds.
+
+    Every window's key is hashed to one of 2^b slots, 8 to 16 per key of the
+    longer side (the top b bits of key * _HASH mod 2^64). A key can meet the
+    other side only if its slot is one the other side fills, so one bool
+    table, filled by one side and read by the other, drops most keys, and
+    only the keys left go to the exact sort of `_keys_meet`.
+    """
     kx, ky = classes.keys(k, 0, mx - k + 1), classes.keys(k, nx, nx + my - k + 1)
-    common = _keys_meet(kx, ky)
-    if common.size == 0:
-        return common, common
-    return _survivors(kx, common), _survivors(ky, common) + nx
+    b = max(kx.size, ky.size).bit_length() + 3
+    # a numpy shift count: with a Python int this line runs about 8 times slower
+    hx, hy = ((keys.view(np.uint64) * _HASH >> np.uint64(64 - b)).view(np.int64)
+              for keys in (kx, ky))
+    table = np.zeros(1 << b, dtype=bool)
+    table[hy] = True
+    cx = np.flatnonzero(table[hx])
+    table[hy] = False
+    table[hx] = True
+    cy = np.flatnonzero(table[hy])
+    ix, iy = _keys_meet(kx[cx], ky[cy])
+    return cx[ix], cy[iy] + nx
 
 
 def _longest_common(classes: WindowClasses | MaskedWindows, nx: int, sizes
@@ -142,10 +156,10 @@ def _longest_common(classes: WindowClasses | MaskedWindows, nx: int, sizes
     """Longest common substring of x[:mx] and y[:my] for each (mx, my) in sizes.
 
     classes holds x ++ y, x being nx long, and sizes grow in both entries,
-    so each answer starts from the one before. A full probe sorts the keys
-    of every window of both prefixes at k0 = min(best + 1, span) on the
-    packed codes, and its one sort also yields the survivors: the starts of
-    every window whose class the other prefix holds. While k0 < span, each
+    so each answer starts from the one before. A full probe (`_full_probe`)
+    meets the keys of every window of both prefixes at k0 = min(best + 1,
+    span) on the packed codes, and yields the survivors: the starts of every
+    window whose class the other prefix holds. While k0 < span, each
     size makes its own full probe of best + 1. Once k0 reaches the span it
     stays there, as best only grows, so one span probe over the windows of
     the largest sizes serves every later size: a match inside smaller
@@ -153,7 +167,8 @@ def _longest_common(classes: WindowClasses | MaskedWindows, nx: int, sizes
     those survivors. A k-match starts at a k0-match, so every further probe
     (best + 1, best + 2, best + 4, ... then a bisection of the last gap)
     tests only the survivors whose k-window fits the prefixes, and one that
-    meets narrows them to the windows that met (`_survivors`).
+    meets narrows them to the windows that met, the positions `_keys_meet`
+    returns.
 
     Returns the lengths, and the survivors of x and of y after the last
     probe that met, as starts in x ++ y: with one size, every window of the
@@ -184,11 +199,10 @@ def _longest_common(classes: WindowClasses | MaskedWindows, nx: int, sizes
             if fx.size == 0 or fy.size == 0:
                 return False
             keys = classes.keys_at(k, np.concatenate((fx, fy)), mx + my)
-            kx, ky = keys[:fx.size], keys[fx.size:]
-            common = _keys_meet(kx, ky)
-            if common.size:
-                sx, sy = fx[_survivors(kx, common)], fy[_survivors(ky, common)]
-            return common.size > 0
+            ix, iy = _keys_meet(keys[:fx.size], keys[fx.size:])
+            if ix.size:
+                sx, sy = fx[ix], fy[iy]
+            return ix.size > 0
 
         while best + step <= limit and probe(best + step):
             best += step
@@ -221,7 +235,8 @@ def lcs_fast(x: SymbolSeq, y: SymbolSeq) -> MatchResult:
     fx, fy = sx[sx <= nx - best], sy[sy <= nx + ny - best]
     keys = classes.keys_at(best, np.concatenate((fx, fy)), nx + ny)
     kx, ky = keys[:fx.size], keys[fx.size:]
-    i = int(np.argmax(_held(kx, _keys_meet(kx, ky))))
+    held_x, _ = _keys_meet(kx, ky)
+    i = int(held_x[0])
     j = int(np.argmax(ky == kx[i]))
     return MatchResult(best, (int(fx[i]), int(fy[j]) - nx, best))
 
@@ -230,10 +245,10 @@ def lcs_lengths_over_schedule(x: SymbolSeq, y: SymbolSeq, schedule) -> list[int]
     """Longest-common-substring lengths of matched prefixes for each n in schedule.
 
     One set of window classes over x[:top] ++ y[:top], top = max(schedule),
-    serves every n; each n sorts the packed keys of its prefixes once until
-    the answer reaches the packed span, one sort at the span then serves
-    every later n, and later probes test only the windows that can still
-    match.
+    serves every n; each n makes one full probe of the packed keys of its
+    prefixes until the answer reaches the packed span, one full probe at
+    the span then serves every later n, and later probes test only the
+    windows that can still match.
     """
     ns = _check_schedule(x, y, schedule)
     classes = WindowClasses(np.concatenate((x.data[:ns[-1]], y.data[:ns[-1]])))

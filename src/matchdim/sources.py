@@ -29,6 +29,8 @@ import numpy as np
 
 PROB_ATOL = 1e-12
 _SAMPLE_CHUNK = 1 << 14  # uniforms walked per chunk by the Markov sampler
+# 2(i + 1) for step i of a chunk; the largest code, 2 _SAMPLE_CHUNK + 1, fits 16 bits
+_STEP_CODES = np.arange(2, 2 * _SAMPLE_CHUNK + 1, 2, dtype=np.uint16)
 _STATIONARY_TOL, _STATIONARY_MAX_ITER = 1e-12, 10 ** 6  # stationary_distribution
 
 
@@ -219,19 +221,23 @@ def _two_state_walk(rows, v: np.ndarray, state: int) -> np.ndarray:
     below both thresholds or at or above both is a fixed step: every state goes
     to [x >= hi]. Between them it keeps the state, or swaps it when t_0 < t_1.
     So each state is the value of the last fixed step (or the carried state),
-    XOR the parity of the swaps since.
+    XOR the parity of the swaps since. Step i gets the code 2(i + 1) |
+    [x >= hi] (`_STEP_CODES`) when it is fixed and 0 otherwise, step 0 at
+    least the carried state. After a running maximum, bit 0 of a code is the
+    value of the last fixed step, or the carried state, and code >> 1 is 1 +
+    that step, or 0. Every step since it swaps: i + 1 - (code >> 1) of them.
     """
     t0, t1 = rows[0][0], rows[1][0]
     lo, hi = min(t0, t1), max(t0, t1)
     up = v >= hi
-    fixed = up | (v < lo)
-    # 1 + index of the last fixed step so far, 0 before the first
-    last = np.maximum.accumulate(np.where(fixed, np.arange(1, v.size + 1), 0))
-    states = np.concatenate(([state], up))[last]
-    if t0 < t1:
-        swaps = np.concatenate(([0], np.cumsum(~fixed)))
-        states ^= (swaps[1:] - swaps[last]) & 1
-    return states
+    steps = _STEP_CODES[:v.size]
+    code = steps | up
+    code *= up | (v < lo)
+    code[0] = max(code[0], state)
+    np.maximum.accumulate(code, out=code)
+    if t0 < t1:  # bit 1 of code ^ steps is the parity of the swaps
+        code ^= (code ^ steps) >> 1
+    return code & 1
 
 
 def _check_block_len(seq: SymbolSeq, k: int) -> None:
@@ -301,15 +307,18 @@ class WindowClasses:
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError("window classes need a nonempty 1-d symbol array")
         # ranked: negative codes would not sort, and past 2^31 the span drops below 2
-        if ids.min() < 0 or ids.max() >= 2 ** 31:
-            ids = np.unique(ids, return_inverse=True)[1]
+        top = int(ids.max())
+        if ids.min() < 0 or top >= 2 ** 31:
+            values, ids = np.unique(ids, return_inverse=True)
+            top = values.size - 1
         self.length = n = int(ids.size)
-        self._size = size = int(ids.max()) + 1
+        self._size = size = top + 1
         span = n if size == 1 else 1
         while span < n and size ** (span + 1) <= 2 ** 62:
             span += 1
         self.span = span
         self._codes = _padded_window_codes(ids, size, span)[0]
+        self._codes.flags.writeable = False  # `keys` at the span returns slices of it
         self._ranks: list[np.ndarray] = []
         self._bases: list[int] = []
 
@@ -348,7 +357,9 @@ class WindowClasses:
         stop = last if stop is None else stop
         if not 0 <= start <= stop <= last:
             raise ValueError(f"window starts [{start}, {stop}) out of range [0, {last})")
-        if k <= self.span:
+        if k == self.span:
+            return self._codes[start:stop]
+        if k < self.span:
             return self._codes[start:stop] // self._size ** (self.span - k)
         return self._ranked_keys(k, np.arange(start, stop))
 

@@ -360,18 +360,36 @@ class TestRun:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    @staticmethod
+    def markov_config(kind):
+        cfg = {"experiment": kind, "schedule": [64, 128, 256], "trials": 2, "seed": 7,
+               "source": {"kind": "markov", "transition": [[0.9, 0.1], [0.4, 0.6]]}}
+        if kind == "entropy_check":
+            cfg.update(schedule=[1], sample_length=500)
+        return cfg
+
     @pytest.mark.parametrize("kind", ["lcs_law", "entropy_check"])
     def test_the_plan_and_the_run_each_build_the_source_once(self, kind, monkeypatch):
         calls, build = [], harness._build_source
         monkeypatch.setattr(harness, "_build_source",
                             lambda spec: calls.append(spec) or build(spec))
-        cfg = {"experiment": kind, "schedule": [64, 128, 256], "trials": 2, "seed": 7,
-               "source": {"kind": "markov", "transition": [[0.9, 0.1], [0.4, 0.6]]}}
-        if kind == "entropy_check":
-            cfg.update(schedule=[1], sample_length=500)
-        plan = plan_from_config(cfg)
+        plan = plan_from_config(self.markov_config(kind))
         assert len(calls) == 1
         run(plan)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("kind", ["lcs_law", "entropy_check"])
+    def test_the_target_is_computed_once_per_experiment(self, kind, monkeypatch):
+        calls, closed_form = [], harness.closed_form_entropy
+        monkeypatch.setattr(harness, "closed_form_entropy",
+                            lambda plan, src: calls.append(plan) or closed_form(plan, src))
+        plan = plan_from_config(self.markov_config(kind))
+        result = run(plan)
+        assert len(calls) == 1
+        # a plan built directly resolves the same target in run
+        direct = harness.ExperimentPlan(**{f: getattr(plan, f) for f in (
+            "kind", "schedule", "trials", "master_seed", "source", "sample_length")})
+        assert run(direct).theory_limit == result.theory_limit
         assert len(calls) == 2
 
     def test_entropy_gate_reads_tolerance_abs(self):

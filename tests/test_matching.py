@@ -8,7 +8,9 @@ import hypothesis.strategies as st
 from matchdim import (Alphabet, IIDSource, IdentityEncoder, StretchEncoder,
                       SymbolSeq, ZeroInflation, encode, highest_score, lcs_fast,
                       lcs_oracle, renyi2_scrabble, sample)
-from matchdim.matching import lcs_lengths_over_schedule, masked_window_lcs
+from matchdim import matching
+from matchdim.matching import (_full_probe, _keys_meet, lcs_lengths_over_schedule,
+                               masked_window_lcs)
 from matchdim.sources import MaskedWindows, WindowClasses
 from oracles import masked_match_lengths
 
@@ -292,6 +294,54 @@ class TestSurvivorProbes:
         lcs_lengths_over_schedule(x, y, self.SPAN_SCHEDULE)
         # the x and y halves of one probe, over the windows of both 400-symbol prefixes
         assert [c for c in calls if c[0] == 62] == [(62, 0, 339), (62, 400, 739)]
+
+
+class TestKeysMeet:
+    """The tagged meet and the hash-filtered full probe against `np.isin`."""
+
+    @staticmethod
+    def held(kx, ky):
+        return np.flatnonzero(np.isin(kx, ky)).tolist(), np.flatnonzero(np.isin(ky, kx)).tolist()
+
+    # few distinct keys, so many repeat on one side or both, near 0 or just below 2^62
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_positions_are_those_isin_finds(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        low = (0, 2 ** 62 - 40)[seed % 2]
+        kx, ky = (np.asarray(low + rng.integers(0, int(rng.integers(1, 40)), int(rng.integers(0, 30))),
+                             dtype=dtype) for _ in range(2))
+        assert [a.tolist() for a in _keys_meet(kx, ky)] == list(self.held(kx, ky))
+
+    @pytest.mark.parametrize("kx, ky", [
+        ([], []), ([], [3, 3]), ([5, 5, 5], []),  # an empty side
+        ([7] * 5, [7] * 3), ([7] * 4, [8] * 4),  # all equal
+        ([2 ** 62 - 1, 0, 2 ** 62 - 2], [0, 2 ** 62 - 1, 2 ** 62 - 1]),  # the largest keys
+    ])
+    def test_edge_cases(self, kx, ky):
+        kx, ky = np.asarray(kx, dtype=np.int64), np.asarray(ky, dtype=np.int64)
+        assert [a.tolist() for a in _keys_meet(kx, ky)] == list(self.held(kx, ky))
+
+    # with _HASH = 1 every key below 2^(64 - b) falls in slot 0, so the table
+    # keeps every key and the sort alone decides
+    @pytest.mark.parametrize("seed", range(8))
+    def test_full_probe_survivors_do_not_depend_on_the_hash(self, seed, monkeypatch):
+        x, y = random_pair(seed, max_len=300, max_size=3)
+        classes = WindowClasses(np.concatenate((x.data, y.data)))
+        nx, rng = x.length, np.random.default_rng(seed)
+        cases = []
+        for k in sorted({1, 2, 3, 5, 8, classes.span}):
+            if k <= min(x.length, y.length):
+                mx, my = (int(rng.integers(k, m + 1)) for m in (x.length, y.length))
+                cases.append((k, mx, my))
+        got = [_full_probe(classes, nx, *case) for case in cases]
+        monkeypatch.setattr(matching, "_HASH", 1)
+        for (k, mx, my), (sx, sy) in zip(cases, got):
+            kx, ky = classes.keys(k, 0, mx - k + 1), classes.keys(k, nx, nx + my - k + 1)
+            ix, iy = self.held(kx, ky)
+            assert (sx.tolist(), sy.tolist()) == (ix, [nx + j for j in iy])
+            flat = _full_probe(classes, nx, k, mx, my)
+            assert (flat[0].tolist(), flat[1].tolist()) == (sx.tolist(), sy.tolist())
 
 
 class TestMaskedWindowLcs:

@@ -147,6 +147,19 @@ class TestSample:
         v[::31], v[1::31] = t0, t1
         assert _two_state_walk(rows, v, state).tolist() == _chain_walk(rows, v, state)
 
+    # one uniform and a whole chunk, where the step codes run up to 2 _SAMPLE_CHUNK + 1
+    @pytest.mark.parametrize("t0, t1", [(0.2, 0.8), (0.9, 0.3)])  # swap, no swap
+    @pytest.mark.parametrize("state", [0, 1])
+    @pytest.mark.parametrize("n", [1, _SAMPLE_CHUNK])
+    def test_two_state_walk_at_the_chunk_ends(self, t0, t1, state, n):
+        rows = [(t0,), (t1,)]
+        v = np.random.default_rng(4).random(n)
+        assert _two_state_walk(rows, v, state).tolist() == _chain_walk(rows, v, state)
+
+    def test_a_chunk_of_step_codes_fits_sixteen_bits(self):
+        # the walk's largest code, 2 (i + 1) | 1 at the last step of a chunk
+        assert 2 * _SAMPLE_CHUNK + 1 < 2 ** 16
+
 
 class TestBlockCounts:
     """The per-window oracle, and `window_counts` against it on each case."""
@@ -272,6 +285,7 @@ class TestWindowClasses:
         data = symbols[picks]
         classes = WindowClasses(data)
         assert classes.span == span
+        assert not classes.keys(span).flags.writeable  # the codes, shared, not a copy
         rows = data.tolist()
         for k in range(1, n + 1):  # k <= span, then one and two ranked levels
             keys = classes.keys(k)
