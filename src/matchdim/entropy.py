@@ -15,8 +15,13 @@ Closed forms covered:
 Empirical estimates plug observed block frequencies into -log(collision)/k
 and select a plateau block length k automatically; the plateau sorts the
 codes of its longest windows (`sources._padded_window_codes`) once and
-counts every shorter k from their prefixes, told apart by one XOR of
-adjacent sorted codes over 2^b symbols, by division at each k otherwise.
+counts every shorter k from their prefixes. Over 2^b symbols each pair of
+sorted neighbours gets its part level, the least k at which their prefixes
+differ, once, in one byte, and the codes are freed; other alphabets divide
+the codes at each k. Counts are int32, and each collision sum is written
+over the group starts it no longer needs; over 2^b symbols the plateau's
+peak, about 16 bytes a symbol beyond its input, is the codes and their
+spare buffer.
 
 All entropies are in nats.
 """
@@ -36,6 +41,7 @@ from .sources import (SymbolSeq, collision_sum, symbol_weights, window_counts,
 EIGEN_ROOT_ATOL = 1e-9
 _POWER_TOL, _POWER_MAX_ITER = 1e-13, 200_000  # power iteration of dominant_eigenvalue
 _ROOT_LO, _ROOT_HI, _ROOT_GRID = 1e-9, 1.0 - 1e-9, 4096  # scan of _largest_weighted_root
+_LEVEL_BLOCK = 2 ** 16  # neighbour pairs per block of _part_levels: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -211,9 +217,10 @@ def renyi2_scrabble(P, weights) -> ScrabbleSpectrum:
                             entropy=float(-np.log(p_eigen)))
 
 
-def _plug_in(counts: np.ndarray, k: int) -> EntropyEstimate:
-    """Estimate from the occurrence counts of the distinct length-k windows."""
-    col = collision_sum(counts)
+def _plug_in(counts: np.ndarray, k: int, out: np.ndarray | None = None) -> EntropyEstimate:
+    """Estimate from the occurrence counts of the distinct length-k windows;
+    `out`, if given, is the float64 buffer of `collision_sum`."""
+    col = collision_sum(counts, out)
     return EntropyEstimate(value=float(-np.log(col) / k), k=k, collision=col,
                            distinct_blocks=int(counts.size))
 
@@ -227,6 +234,30 @@ def renyi2_empirical(seq: SymbolSeq, k: int) -> EntropyEstimate:
             f"for k={k}; estimate may be undersampled", RuntimeWarning,
             stacklevel=2)
     return _plug_in(window_counts(seq, k), k)
+
+
+def _part_levels(codes: np.ndarray, b: int, K: int) -> np.ndarray:
+    """The least k at which the k-prefixes of neighbouring codes differ.
+
+    The codes are those of K-windows of b-bit symbols, whose k-prefixes are
+    code >> b (K - k); for neighbours u and v they differ exactly when
+    u ^ v >= 2^(b (K - k)), that is from k = K - (bit_length(u ^ v) - 1) // b
+    on. Equal neighbours never part and get K + 1. The bit length is the
+    exponent of `np.frexp`, less one where rounding to 53 bits carried the
+    float up to the next power of two. One uint8 per pair, worked out in
+    blocks of _LEVEL_BLOCK pairs.
+    """
+    levels = np.full(codes.size - 1, K + 1, dtype=np.uint8)
+    if b == 0:  # one symbol: every window is the same
+        return levels
+    for lo in range(0, levels.size, _LEVEL_BLOCK):
+        hi = min(lo + _LEVEL_BLOCK, levels.size)
+        xor = np.bitwise_xor(codes[lo + 1:hi + 1], codes[lo:hi])
+        bits = np.frexp(xor)[1]
+        # one less where the float rounded up to 2^bits (and at xor == 0, masked below)
+        bits -= (xor >> np.maximum(bits - 1, 0)) == 0
+        np.copyto(levels[lo:hi], K - (bits - 1) // b, casting="unsafe", where=xor != 0)
+    return levels
 
 
 def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
@@ -245,9 +276,13 @@ def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
     (K the largest k tried) are sorted once, and the k-windows are their
     k-prefixes, counted between the places where adjacent prefixes differ,
     less the k - 1 windows that run into the padding. Where the code base is
-    2^b, adjacent prefixes differ where the XOR of the adjacent codes reaches
-    2^(b (K - k)); otherwise the codes are divided by base^(K - k) at each k.
-    Every row equals `renyi2_empirical(seq, k)`.
+    2^b, the part levels of adjacent codes (`_part_levels`, one byte a pair)
+    are taken once and the codes freed, and at each k groups start where the
+    level is at most k; otherwise the codes are divided by base^(K - k) at
+    each k. Counts go to one int32 buffer (n < 2^31; the spare codes buffer
+    where it holds the prefixes), and each collision sum is written over
+    that k's group starts, which are not read again. Every row equals
+    `renyi2_empirical(seq, k)`.
     """
     _check_block_len(seq, 2)
     n, size = seq.length, seq.alphabet.size
@@ -257,26 +292,32 @@ def empirical_plateau(seq: SymbolSeq, min_coincidences: float = 100.0
     padded = codes[n - K + 1:].copy()  # the windows starting at n-K+1 .. n-1
     codes.sort()
     padded = np.searchsorted(codes, padded)  # their places in sorted order
-    new_group = np.ones(n + 1, dtype=bool)  # new_group[n] closes the last group
-    packed = (base & (base - 1)) == 0  # base 2^b: u >> s != v >> s exactly when u ^ v >= 2^s
+    packed = (base & (base - 1)) == 0  # base 2^b
     if packed:
-        flips = np.bitwise_xor(codes[1:], codes[:-1], out=spare[:n - 1])
-        spare = codes  # the codes are not read again: their buffer holds the counts
+        del spare
+        levels = _part_levels(codes, base.bit_length() - 1, K)
+        del codes
+        count_buffer = np.empty(n, dtype=np.int32)
+    else:  # the prefixes are read before the counts are written
+        count_buffer = spare.view(np.int32)
+    new_group = np.ones(n + 1, dtype=bool)  # new_group[n] closes the last group
     windows = n  # within a factor of the window count for k << n
     table: list[EntropyEstimate] = []
     for k in range(2, K + 1):
         if packed:
-            np.greater_equal(flips, base ** (K - k), out=new_group[1:n])
+            np.less_equal(levels, k, out=new_group[1:n])
         else:
             prefixes = np.floor_divide(codes, base ** (K - k), out=spare)
             np.not_equal(prefixes[1:], prefixes[:-1], out=new_group[1:n])
         starts = np.flatnonzero(new_group)
-        counts = np.subtract(starts[1:], starts[:-1], out=spare[:starts.size - 1])
+        counts = np.subtract(starts[1:], starts[:-1], out=count_buffer[:starts.size - 1])
         at = np.searchsorted(starts, padded[K - k:], side="right") - 1
         np.subtract.at(counts, at, 1)
-        del starts  # freed before the copies below: they set the peak memory
         # only the groups of padded windows lose counts, so only they can reach 0
-        est = _plug_in(counts if counts[at].all() else counts[counts > 0], k)
+        if not counts[at].all():
+            counts = counts[counts > 0]
+        est = _plug_in(counts, k, out=starts.view(np.float64)[:counts.size])
+        del starts, counts  # freed before the next k's starts: they set the peak memory
         table.append(est)
         if est.collision * windows < min_coincidences:
             break

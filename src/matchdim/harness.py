@@ -14,7 +14,9 @@ the theoretical limit supplied by the entropy/geometry modules:
   correlation dimension of the observed invariant measure (the observed
   dimension for Lebesgue systems seen whole or through a coordinate,
   estimated empirically otherwise).
-- entropy_check: each trial's block-entropy plateau against H2 itself.
+- entropy_check: each trial's block-entropy plateau against H2 itself; the
+  least-squares slope of -ln S_k on k up to the plateau's k is recorded
+  next to it, not gated.
 
 Every kind runs one path: `theoretical_slope_limit` resolves the target
 before any trial, once per plan (in `plan_from_config`, so specs that do not
@@ -47,6 +49,7 @@ CSV_HEADER = "experiment,trial,n,statistic,log_n,theory_limit"
 _ROLE_X, _ROLE_Y, _ROLE_MASK = 0, 1, 2
 _DIM_ESTIMATE_KEY = 999_983
 _DIM_ESTIMATE_POINTS, _DIM_ESTIMATE_BURN_IN = 100_000, 100  # observed after burn-in
+_SLOPE_MIN_K = 5  # the least block length in an entropy trial's plateau slope
 
 
 @dataclass(frozen=True)
@@ -414,6 +417,18 @@ def estimate_orbit_dimension(plan: ExperimentPlan) -> geometry.DimensionFit:
     return geometry.correlation_dimension(pts, r_lo, r_hi, space=observed.space)
 
 
+def _plateau_slope(plateau: entropy.EntropyEstimate,
+                   table: list[entropy.EntropyEstimate]) -> float | None:
+    """Least-squares slope of -ln S_k on k over _SLOPE_MIN_K <= k <= the
+    plateau's k, or None under three such rows. Unlike -ln S_k / k it carries
+    no 1/k boundary term."""
+    rows = [est for est in table if _SLOPE_MIN_K <= est.k <= plateau.k]
+    if len(rows) < 3:
+        return None
+    return fit_slope([est.k for est in rows],
+                     -np.log([est.collision for est in rows])).slope
+
+
 def _gate(plan: ExperimentPlan, measured: float, target: float) -> bool:
     """The one gate: tolerance_abs, else tolerance_frac * |target|; none passes."""
     if plan.tolerance_abs is not None:
@@ -452,6 +467,7 @@ def run(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
         plateaus = details["plateau_estimates"] = [plateau.value for plateau, _ in per_trial]
         details["plateau_k"] = [plateau.k for plateau, _ in per_trial]
         details["plateau_rows"] = [len(table) for _, table in per_trial]
+        details["plateau_slope"] = [_plateau_slope(*trial) for trial in per_trial]
         fit, collapsed = None, np.zeros(0, dtype=bool)
         passed = all(_gate(plan, p, target) for p in plateaus)
     else:

@@ -438,9 +438,14 @@ def window_counts(seq: SymbolSeq, k: int) -> np.ndarray:
     return np.unique(WindowClasses(seq.data).keys(k), return_counts=True)[1]
 
 
-def collision_sum(counts: np.ndarray) -> float:
-    """sum_B (N_B/M)^2 over window counts N_B with total M."""
-    return float(np.sum((counts / float(counts.sum())) ** 2))
+def collision_sum(counts: np.ndarray, out: np.ndarray | None = None) -> float:
+    """sum_B (N_B/M)^2 over window counts N_B with total M.
+
+    The shares N_B/M are divided and squared in place, into `out` when it is
+    given (float64, of the counts' size) and into a new array otherwise.
+    """
+    shares = np.divide(counts, float(counts.sum()), out=out)
+    return float(np.sum(np.square(shares, out=shares)))
 
 
 def stationary_distribution(P) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from matchdim import (Alphabet, IIDSource, MarkovSource, SymbolSeq,
                       build_qstar, dominant_eigenvalue, empirical_plateau, renyi2_empirical,
                       renyi2_iid, renyi2_markov, renyi2_scrabble,
                       renyi2_zero_inflated, sample)
+from matchdim import entropy
 from matchdim.sources import window_counts
 from oracles import block_counts, ordered_counts
 
@@ -244,7 +247,9 @@ class TestEmpirical:
                # run of ones ahead keeps the collisions up, so k gets past 8)
                "zero_tail16": lambda: SymbolSeq(Alphabet(16), np.r_[
                    [1] * n, tail, tail[:-2]][-n:])}[case]()
-        plateau, table = empirical_plateau(seq)
+        with warnings.catch_warnings():  # no divide or overflow warning, base 1 (b = 0) too
+            warnings.simplefilter("error")
+            plateau, table = empirical_plateau(seq)
         assert [est.k for est in table] == list(range(2, len(table) + 2))
         assert plateau in table
         for est in table:
@@ -274,6 +279,43 @@ class TestEmpirical:
     def test_plateau_rejects_sequences_shorter_than_two(self, n):
         with pytest.raises(ValueError, match="block length k=2"):
             empirical_plateau(SymbolSeq(Alphabet(2), [0] * n))
+
+    @pytest.mark.parametrize("b", [1, 2, 4, 8])
+    @pytest.mark.parametrize("block", [5, None])
+    def test_part_levels_match_the_bit_length_of_each_xor(self, b, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(entropy, "_LEVEL_BLOCK", block)
+        K = -(-62 // b)  # b K >= 62 bits hold every XOR below
+        # 2^m - 1 rounds up to 2^m as a float from m = 54 on; 0 is a pair of equal neighbours
+        xors = [0, 0] + [v for m in range(62) for v in (2 ** m - 1, 2 ** m, 2 ** m + 1)]
+        xors = np.random.default_rng(b).permutation(np.array(xors, dtype=np.int64))
+        # at the default block size the xors straddle the edge at pair 2^16, amid equal pairs
+        pad = 2 ** 16 - xors.size // 2
+        xors = np.r_[np.zeros(pad, dtype=np.int64), xors, np.zeros(9, dtype=np.int64)]
+        first = np.array([2 ** 62 - 12345], dtype=np.int64)
+        codes = np.bitwise_xor.accumulate(np.r_[first, xors])  # neighbours XOR to xors
+        levels = entropy._part_levels(codes, b, K)
+        assert levels.dtype == np.uint8
+        expected = [K - (v.bit_length() - 1) // b if v else K + 1 for v in xors.tolist()]
+        assert levels.tolist() == expected
+
+    def test_plateau_peak_memory_is_at_most_18_bytes_a_symbol(self):
+        # beyond its input: the codes and their spare buffer take 16
+        P = np.array([[0.9, 0.1], [0.3, 0.7]])
+        n = 2 ** 20
+        seq = sample(MarkovSource.stationary(P), n, 5)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            empirical_plateau(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (peak - before) / n <= 18
 
     def test_plateau_tracks_markov_closed_form(self):
         P = np.array([[0.9, 0.1], [0.3, 0.7]])

@@ -347,6 +347,24 @@ class TestRun:
             assert (k, value) in rows
         assert len(set(lengths)) > 1  # the table length varies with the sample
 
+    def test_plateau_slope_is_the_fit_of_minus_log_collision_from_k_5(self):
+        with open(CONFIG_DIR / "entropy_markov.yaml") as fh:
+            result = run(plan_from_config(yaml.safe_load(fh)))
+        (slope,), (k,), (value,) = (result.details[key] for key in
+                                    ("plateau_slope", "plateau_k", "plateau_estimates"))
+        ks = np.arange(5, k + 1)
+        values = [stat for _, n, stat in result.rows if 5 <= n <= k]
+        assert slope == pytest.approx(fit_slope(ks, ks * values).slope, rel=1e-12)
+        H2 = result.theory_limit
+        assert (value - H2) / H2 == pytest.approx(0.0358, abs=5e-5)
+        assert (slope - H2) / H2 == pytest.approx(-0.0005, abs=5e-5)  # no 1/k term
+
+    def test_plateau_slope_is_none_under_three_rows(self):
+        with open(CONFIG_DIR / "entropy_zero_inflation.yaml") as fh:
+            result = run(plan_from_config(yaml.safe_load(fh)))
+        assert result.details["plateau_k"] == [3, 5]
+        assert result.details["plateau_slope"] == [None, None]
+
     @pytest.mark.parametrize("kind", ["lcs_law", "entropy_check"])
     def test_the_source_is_built_as_often_for_one_trial_as_for_five(self, kind, monkeypatch):
         calls, build = [], harness._build_source

@@ -347,6 +347,14 @@ class TestCollisionProbability:
         # 0101 at k=2: windows 01,10,01 -> (2/3)^2 + (1/3)^2
         assert collision_sum(window_counts(seq([0, 1, 0, 1], 2), 2)) == pytest.approx(5 / 9)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_out_takes_the_squared_shares_and_the_sum_keeps_its_bits(self, dtype):
+        counts = np.random.default_rng(3).integers(1, 1000, 777).astype(dtype)
+        out = np.full(counts.size, np.nan)
+        col = collision_sum(counts, out)
+        assert col == collision_sum(counts) == float(np.sum((counts / float(counts.sum())) ** 2))
+        assert np.array_equal(out, (counts / float(counts.sum())) ** 2)
+
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 80), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_equality_case(self, seed, n, k):
