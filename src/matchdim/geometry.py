@@ -1,23 +1,20 @@
 """Shortest distance between orbits and correlation-dimension estimation.
 
-The nearest-pair problem min_{i,j<n} d(a_i, b_j) has a quadratic reference,
-`shortest_distance`, which evaluates the n x n distances in blocks of rows of
-a (about 2^14 entries each), so it runs no per-row Python loop.
-
-Every fast query rests on one primitive, `_close_pairs(pa, pb, space, r)`: it
-yields chunks (d, i, j) holding every pair within r. It buckets pb into one
-`_Grid` with cells just wider than r and takes the pairs whose cells differ by
-at most one in each axis, cyclically on the torus. A split axis is never
-narrower than r, and an axis held in one cell, however narrow, puts every
-pair in neighbouring cells. Each point set takes its cell order from one sort
-of packed int64 keys, flat cell << ib | index, ib the bits that index the
-larger set; each axis is clipped to 2^((62 - ib) // dim) cells, which keeps
-the keys below 2^62. Cells c-1..c+1 of the last axis are one range of the
-grid's sorted order, so each offset of the leading axes is one range lookup;
-with pb None, pa joins itself by a half stencil, each unordered pair once.
-Where the grid has at most three cells per axis, row blocks of the full
-matrix serve instead. Otherwise every torus axis, of span 1, has more than
-three cells, so no pair comes twice.
+The shortest distance m_n = min_{i,j<n} d(a_i, b_j) between two orbits is
+found exactly without forming the n x n matrix. Every query rests on one
+primitive, `_close_pairs(pa, pb, space, r)`: it yields chunks (d, i, j)
+holding every pair within r. It buckets pb into one `_Grid` with cells just
+wider than r and takes the pairs whose cells differ by at most one in each
+axis, cyclically on the torus. A split axis is never narrower than r, and an
+axis held in one cell, however narrow, puts every pair in neighbouring cells.
+Each point set takes its cell order from one sort of packed int64 keys, flat
+cell << ib | index, ib the bits that index the larger set; each axis is
+clipped to 2^((62 - ib) // dim) cells, which keeps the keys below 2^62. Cells
+c-1..c+1 of the last axis are one range of the grid's sorted order, so each
+offset of the leading axes is one range lookup; with pb None, pa joins itself
+by a half stencil, each unordered pair once. Where the grid has at most three
+cells per axis, row blocks of the full matrix serve instead. Otherwise every
+torus axis, of span 1, has more than three cells, so no pair comes twice.
 `_least_by_prefix` reduces the chunks to the least (d, i, j) with i, j < n
 for each n: in (d, i, j) order, the first pair with max(i, j) < n.
 
@@ -30,9 +27,9 @@ rest run in passes: since m_n never increases with n, r = m_{n0} from a
 single-n search at the pass's first n bounds every later minimum, and one
 `_close_pairs` call at r over the pass's largest n serves them all.
 `shortest_distance_fast` is the profile of one n. Every route folds the
-metric over coordinates in the same order, and the witness is the least
-(d, i, j), the reference's first minimum in row-major order, so the fast
-and reference answers are bitwise equal.
+metric over coordinates in the same order (`_fold_metric`), and the witness
+is the least (d, i, j), the first minimum of the n x n matrix in row-major
+order, so every answer is bitwise equal to a scan of the whole matrix.
 
 The correlation dimension is the least-squares slope (`fit_slope`, the
 package's one least-squares fit, which the harness also uses) of the log
@@ -143,30 +140,6 @@ def _check_pair_inputs(orbit_a: Orbit, orbit_b: Orbit, n: int) -> tuple[np.ndarr
     if n < 1 or n > len(orbit_a) or n > len(orbit_b):
         raise ValueError(f"n={n} exceeds orbit length")
     return orbit_a.points[:n], orbit_b.points[:n], orbit_a.space
-
-
-def shortest_distance(orbit_a: Orbit, orbit_b: Orbit, n: int) -> NearestPair:
-    """Exact minimum over the n x n point pairs; quadratic reference route.
-
-    The distance matrix is evaluated in blocks of whole rows of a, about
-    2^14 entries each: small enough that the block's arrays stay cheap to
-    allocate and cache-resident, large enough that each NumPy call does
-    real work. The witness is the first (i, j) in row-major order among the
-    minima: argmin takes the first minimum of a block, and a later block
-    replaces it only when strictly closer.
-    """
-    pa, pb, space = _check_pair_inputs(orbit_a, orbit_b, n)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    best = math.inf
-    bi = bj = 0
-    for i0 in range(0, n, rows):
-        d = _block_dist(pa[i0:i0 + rows], pb, space)
-        k = int(np.argmin(d))
-        if d.flat[k] < best:
-            best = float(d.flat[k])
-            bi, bj = divmod(k, n)
-            bi += i0
-    return NearestPair(best, (bi, bj))
 
 
 class _Grid:
@@ -357,14 +330,14 @@ def _nearest(pa: np.ndarray, pb: np.ndarray, space: str, n: int) -> NearestPair:
 
 
 def shortest_distance_fast(orbit_a: Orbit, orbit_b: Orbit, n: int) -> NearestPair:
-    """Grid-accelerated nearest pair; exact (bitwise equal to the reference)."""
+    """Grid-accelerated nearest pair; exact (bitwise equal to a full scan)."""
     prof = distance_profile(orbit_a, orbit_b, (n,))
     return NearestPair(float(prof.m_values[0]), prof.witnesses[0])
 
 
 def distance_profile(orbit_a: Orbit, orbit_b: Orbit, schedule) -> DistanceProfile:
-    """m_n and its witness at each scheduled n; bitwise equal to
-    `shortest_distance` at each n.
+    """m_n and its witness at each scheduled n; bitwise equal to the first
+    minimum, in row-major order, of the n x n matrix at each n.
 
     Coincident n are answered by `_common_point`; one pass (see the module
     docstring) serves every other n up to _PASS_SPAN * n0. It keeps about

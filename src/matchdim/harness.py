@@ -42,6 +42,12 @@ from .seeding import spawn_seed
 
 EXPERIMENT_KINDS = ("lcs_law", "scrabble_law", "orbit_law",
                     "random_orbit_law", "entropy_check")
+# the config keys only some kinds read, by kind; any other kind rejects them
+_SYMBOL_KEYS, _ORBIT_KEYS = {"source", "encoder"}, {"system", "observation", "expect_collapse"}
+_KIND_KEYS = {"lcs_law": _SYMBOL_KEYS, "scrabble_law": _SYMBOL_KEYS,
+              "entropy_check": _SYMBOL_KEYS | {"sample_length"},
+              "orbit_law": _ORBIT_KEYS, "random_orbit_law": _ORBIT_KEYS}
+_KIND_ONLY_KEYS = set().union(*_KIND_KEYS.values())
 
 CSV_HEADER = "experiment,trial,n,statistic,log_n,theory_limit"
 
@@ -90,6 +96,10 @@ class ExperimentPlan:
             if tol is not None and not (_is_number(tol) and tol >= 0):
                 raise ValueError(f"{name} must be a nonnegative number, got {tol!r}")
         object.__setattr__(self, "schedule", sched)
+        # the label is the first CSV field, written unquoted
+        if not isinstance(self.label, str) or any(c in self.label for c in ",\r\n"):
+            raise ValueError("label must be a string without commas or line breaks, "
+                             f"got {self.label!r}")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
 
@@ -135,6 +145,8 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
     """Build a plan from a parsed config mapping."""
     cfg = dict(cfg)
     kind = cfg.pop("experiment")
+    unread = sorted(_KIND_ONLY_KEYS.intersection(cfg).difference(
+        _KIND_KEYS.get(kind, _KIND_ONLY_KEYS)))
     sched_cfg = cfg.pop("schedule")
     if isinstance(sched_cfg, dict):
         bounds = dict(sched_cfg)
@@ -166,6 +178,8 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         label=cfg.pop("label", ""),
     )
     _no_leftovers(cfg, "config")  # a misspelled key first, then the values
+    if unread:
+        raise ValueError(f"{kind} does not read config keys: {unread}")
     plan = ExperimentPlan(**fields)
     # build each nested spec once, so a bad key or value fails here, not in a trial
     try:

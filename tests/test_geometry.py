@@ -7,10 +7,10 @@ import hypothesis.strategies as st
 
 from matchdim import (Collapse, Orbit, correlation_dimension,
                       default_radius_window, distance_profile, iterate,
-                      observe, shortest_distance, shortest_distance_fast,
-                      TimesMap)
+                      observe, shortest_distance_fast, TimesMap)
 from matchdim import geometry
 from matchdim.geometry import _common_point, _pair_counts_below
+from oracles import shortest_distance
 
 
 def pair_count(pts, r, space="torus"):

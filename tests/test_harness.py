@@ -60,6 +60,19 @@ class TestPlanParsing:
             plan_from_config({"experiment": "lcs_law", "schedule": [2, 4],
                               "typo_key": 1})
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("lcs_law", "system", {"kind": "times_m", "m": 2}),
+        ("lcs_law", "sample_length", 1000),
+        ("scrabble_law", "expect_collapse", False),
+        ("entropy_check", "observation", {"kind": "identity"}),
+        ("orbit_law", "source", {"kind": "iid", "probs": [0.5, 0.5]}),
+        ("orbit_law", "encoder", {"kind": "identity"}),
+        ("random_orbit_law", "sample_length", 1000),
+    ])
+    def test_keys_the_kind_does_not_read_rejected(self, kind, key, value):
+        with pytest.raises(ValueError, match=rf"{kind} does not read config keys: \['{key}'\]"):
+            plan_from_config({"experiment": kind, "schedule": [64, 128, 256], key: value})
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             ExperimentPlan(kind="nope", schedule=(2, 4), trials=1, master_seed=0)
@@ -539,9 +552,10 @@ class TestScrabbleCrosscheck:
 class TestCli:
     def _write_config(self, tmp_path, **overrides):
         cfg = {"experiment": "lcs_law", "seed": 4, "trials": 3,
-               "schedule": [64, 128, 256],
-               "source": {"kind": "iid", "probs": [0.5, 0.5]},
-               "encoder": {"kind": "identity"}}
+               "schedule": [64, 128, 256]}
+        if not overrides.get("experiment", "lcs_law").endswith("orbit_law"):
+            cfg.update(source={"kind": "iid", "probs": [0.5, 0.5]},
+                       encoder={"kind": "identity"})
         cfg.update(overrides)
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(cfg))
@@ -699,6 +713,18 @@ class TestCli:
           "observation": {"kind": "collapse", "interval": [-0.5, -0.1], "value": 1.5},
           "expect_collapse": True},
          "collapse interval [-0.5, -0.1] misses the torus [0, 1)"),
+        # the label is the first CSV field, written unquoted
+        ({"label": "a,b"}, "label must be a string without commas or line breaks, got 'a,b'"),
+        ({"label": "a\nb"}, "without commas or line breaks, got 'a\\nb'"),
+        ({"label": "a\rb"}, "without commas or line breaks, got 'a\\rb'"),
+        ({"label": 7}, "label must be a string without commas or line breaks, got 7"),
+        ({"label": ["l"]}, "without commas or line breaks, got ['l']"),
+        # a key the kind never reads is rejected, not ignored
+        ({"system": {"kind": "times_m", "m": 2}},
+         "lcs_law does not read config keys: ['system']"),
+        ({"experiment": "orbit_law", "system": {"kind": "times_m", "m": 2},
+          "source": {"kind": "iid", "probs": [0.5, 0.5]}},
+         "orbit_law does not read config keys: ['source']"),
     ])
     def test_config_type_error_exits_two(self, tmp_path, capsys, override, wording):
         cfg = self._write_config(tmp_path, **override)

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from matchdim import (Alphabet, IIDSource, IdentityEncoder, StretchEncoder,
-                      SymbolSeq, ZeroInflation, encode, highest_score, lcs_fast,
-                      lcs_oracle, renyi2_scrabble, sample)
+                      SymbolSeq, ZeroInflation, encode, renyi2_scrabble, sample)
 from matchdim import matching
 from matchdim.matching import (_full_probe, _keys_meet, lcs_lengths_over_schedule,
                                masked_window_lcs)
 from matchdim.sources import MaskedWindows, WindowClasses
-from oracles import masked_match_lengths
+from oracles import highest_score, lcs_length, lcs_oracle, masked_match_lengths
 
 
 def seq(symbols, size):
@@ -44,12 +43,12 @@ class TestOracle:
         assert lcs_oracle(seq([0, 0, 0], 2), seq([1, 1, 1], 2)).length == 0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lcs_oracle(seq([], 2), seq([0], 2))
+        with pytest.raises(ValueError, match="nonempty"):
+            lcs_lengths_over_schedule(seq([], 2), seq([0], 2), [1])
 
     def test_alphabet_mismatch(self):
-        with pytest.raises(ValueError):
-            lcs_oracle(seq([0], 2), seq([0], 3))
+        with pytest.raises(ValueError, match="share an alphabet"):
+            lcs_lengths_over_schedule(seq([0], 2), seq([0], 3), [1])
 
 
 class TestFastPath:
@@ -57,41 +56,17 @@ class TestFastPath:
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle(self, seed):
         x, y = random_pair(seed)
-        assert lcs_fast(x, y).length == lcs_oracle(x, y).length
-
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_witness_realizes_match(self, seed):
-        x, y = random_pair(seed)
-        r = lcs_fast(x, y)
-        i, j, k = r.witness
-        assert k == r.length
-        assert np.array_equal(x.data[i:i + k], y.data[j:j + k])
-
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_witness_tie_break_smallest_i_then_j(self, seed):
-        x, y = random_pair(seed, max_len=18, max_size=3)
-        r = lcs_oracle(x, y)
-        if r.length == 0:
-            return
-        k = r.length
-        wits = [(i, j)
-                for i in range(x.length - k + 1)
-                for j in range(y.length - k + 1)
-                if np.array_equal(x.data[i:i + k], y.data[j:j + k])]
-        assert r.witness[:2] == min(wits)
-        assert lcs_fast(x, y).witness[:2] == min(wits)
+        assert lcs_length(x, y) == lcs_oracle(x, y).length
 
     def test_long_identical(self):
         s = seq([0] * 1000, 1)
-        assert lcs_fast(s, s).length == 1000
+        assert lcs_lengths_over_schedule(s, s, [1000]) == [1000]
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_symmetry(self, seed):
         x, y = random_pair(seed)
-        assert lcs_fast(x, y).length == lcs_fast(y, x).length
+        assert lcs_length(x, y) == lcs_length(y, x)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -101,7 +76,7 @@ class TestFastPath:
         y = SymbolSeq(Alphabet(2), rng.integers(0, 2, 50))
         prev = 0
         for n in (5, 10, 20, 35, 50):
-            cur = lcs_fast(x.prefix(n), y.prefix(n)).length
+            (cur,) = lcs_lengths_over_schedule(x, y, [n])
             assert prev <= cur <= n
             prev = cur
 
@@ -110,7 +85,7 @@ class TestFastPath:
         y = sample(IIDSource(np.array([0.5, 0.5])), 800, 2)
         sched = (10, 40, 200, 800)
         vals = lcs_lengths_over_schedule(x, y, sched)
-        assert vals == [lcs_fast(x.prefix(n), y.prefix(n)).length for n in sched]
+        assert vals == [lcs_lengths_over_schedule(x, y, [n])[0] for n in sched]
 
     def test_schedule_requires_increasing(self):
         x = seq([0, 1, 0], 2)
@@ -154,8 +129,7 @@ class TestWindowClassKernel:
         x = seq([1] * n, 2)
         sched = sorted({1, max(1, n // 2), n})
         assert lcs_lengths_over_schedule(x, x, sched) == sched
-        assert lcs_fast(x, x).witness == (0, 0, n)
-        assert lcs_fast(x, seq([0] * n, 2)).length == 0
+        assert lcs_lengths_over_schedule(x, seq([0] * n, 2), sched) == [0] * len(sched)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_schedule_crosses_packed_and_ranked_levels(self, seed):
@@ -172,26 +146,17 @@ class TestWindowClassKernel:
         got = lcs_lengths_over_schedule(x, y, sched)
         assert got == [lcs_oracle(x.prefix(n), y.prefix(n)).length for n in sched]
         assert got[0] <= 62 < min(v for v in got if v > 62) <= 124 < got[-1]
-        assert lcs_fast(x, y) == lcs_oracle(x, y)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_witness_is_least_i_then_j_on_unequal_lengths(self, seed):
+    def test_unequal_low_entropy_lengths_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
         size = int(rng.choice([1, 2, 3, 40]))
         nx, ny = int(rng.integers(1, 30)), int(rng.integers(30, 60))
         if rng.random() < 0.5:
             nx, ny = ny, nx
         x, y = low_entropy_pair(seed, size, nx, ny)
-        r = lcs_fast(x, y)
-        k = lcs_oracle(x, y).length
-        assert r.length == k
-        if k == 0:
-            assert r.witness == (0, 0, 0)
-            return
-        wits = [(i, j) for i in range(nx - k + 1) for j in range(ny - k + 1)
-                if np.array_equal(x.data[i:i + k], y.data[j:j + k])]
-        assert r.witness == (*min(wits), k)
+        assert lcs_length(x, y) == lcs_oracle(x, y).length
 
 
 class TestSurvivorProbes:
@@ -201,7 +166,7 @@ class TestSurvivorProbes:
     def assert_schedule_exact(x, y, sched):
         got = lcs_lengths_over_schedule(x, y, sched)
         assert got == [lcs_oracle(x.prefix(n), y.prefix(n)).length for n in sched]
-        assert got == [lcs_fast(x.prefix(n), y.prefix(n)).length for n in sched]
+        assert got == [lcs_lengths_over_schedule(x, y, [n])[0] for n in sched]
         return got
 
     # the packed span is 62 binary symbols and 39 ternary ones (3^39 <= 2^62
@@ -224,8 +189,8 @@ class TestSurvivorProbes:
         got = self.assert_schedule_exact(x, y, (10, end - length // 2, end, n))
         assert got[-2:] == [length, length]
         short = y.prefix(j + length + 8)
-        assert lcs_fast(x, short) == lcs_oracle(x, short)
-        assert lcs_fast(short, x) == lcs_oracle(short, x)
+        assert lcs_length(x, short) == lcs_oracle(x, short).length
+        assert lcs_length(short, x) == lcs_oracle(short, x).length
 
     # every window of one side meets the other, so no probe drops a survivor
     @pytest.mark.parametrize("kind", ["identical", "period-2", "period-7"])
@@ -242,7 +207,7 @@ class TestSurvivorProbes:
         got = self.assert_schedule_exact(x, y, (1, 5, 62, 63, 124, 125, 200, n))
         assert got[-1] >= n - 3
         for a, b in ((x, y), (x, y.prefix(150)), (y.prefix(77), x)):
-            assert lcs_fast(a, b) == lcs_oracle(a, b)
+            assert lcs_length(a, b) == lcs_oracle(a, b).length
 
     def test_flat_schedule_finds_no_survivors(self):
         # past 40 symbols x holds only 2 and y only 3, so no prefix gains a
@@ -327,20 +292,17 @@ class TestKeysMeet:
     @pytest.mark.parametrize("seed", range(8))
     def test_full_probe_survivors_do_not_depend_on_the_hash(self, seed, monkeypatch):
         x, y = random_pair(seed, max_len=300, max_size=3)
-        classes = WindowClasses(np.concatenate((x.data, y.data)))
-        nx, rng = x.length, np.random.default_rng(seed)
-        cases = []
-        for k in sorted({1, 2, 3, 5, 8, classes.span}):
-            if k <= min(x.length, y.length):
-                mx, my = (int(rng.integers(k, m + 1)) for m in (x.length, y.length))
-                cases.append((k, mx, my))
-        got = [_full_probe(classes, nx, *case) for case in cases]
+        top, rng = min(x.length, y.length), np.random.default_rng(seed)
+        classes = WindowClasses(np.concatenate((x.data[:top], y.data[:top])))
+        cases = [(k, int(rng.integers(k, top + 1)))
+                 for k in sorted({1, 2, 3, 5, 8, classes.span}) if k <= top]
+        got = [_full_probe(classes, top, *case) for case in cases]
         monkeypatch.setattr(matching, "_HASH", 1)
-        for (k, mx, my), (sx, sy) in zip(cases, got):
-            kx, ky = classes.keys(k, 0, mx - k + 1), classes.keys(k, nx, nx + my - k + 1)
+        for (k, n), (sx, sy) in zip(cases, got):
+            kx, ky = classes.keys(k, 0, n - k + 1), classes.keys(k, top, top + n - k + 1)
             ix, iy = self.held(kx, ky)
-            assert (sx.tolist(), sy.tolist()) == (ix, [nx + j for j in iy])
-            flat = _full_probe(classes, nx, k, mx, my)
+            assert (sx.tolist(), sy.tolist()) == (ix, [top + j for j in iy])
+            flat = _full_probe(classes, top, k, n)
             assert (flat[0].tolist(), flat[1].tolist()) == (sx.tolist(), sy.tolist())
 
 
@@ -456,7 +418,7 @@ class TestMaskedWindowLcs:
 
 def encoded_lcs_length(x, y, encoder, n):
     """Longest common substring of the two length-n encoded images."""
-    return lcs_fast(encode(encoder, x, n), encode(encoder, y, n)).length
+    return lcs_lengths_over_schedule(encode(encoder, x, n), encode(encoder, y, n), [n])[0]
 
 
 class TestEncodedLcs:
@@ -494,7 +456,7 @@ class TestHighestScore:
             x = SymbolSeq(Alphabet(3), rng.integers(0, 3, 25))
             y = SymbolSeq(Alphabet(3), rng.integers(0, 3, 25))
             assert (highest_score(x, y, 25, (1, 1, 1)).length
-                    == lcs_fast(x.prefix(25), y.prefix(25)).length)
+                    == lcs_lengths_over_schedule(x, y, [25])[0])
 
     def test_short_heavy_match_wins(self):
         # x=ab, y=ba with weight 2 on b: single-symbol match "b" scores 2
@@ -594,6 +556,6 @@ class TestStretchScoreConsistency:
         x = SymbolSeq(Alphabet(2), rng.integers(0, 2, n))
         y = SymbolSeq(Alphabet(2), rng.integers(0, 2, n))
         ex, ey = (encode(enc, s, sum(weights[a] for a in s.data)) for s in (x, y))
-        m_enc = lcs_fast(ex, ey).length
+        m_enc = lcs_length(ex, ey)
         v = highest_score(x, y, n, weights).length
         assert 0 <= m_enc - v <= max(weights)
